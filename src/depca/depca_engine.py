@@ -116,7 +116,9 @@ def propagator(system: DepcaSystem, t: float, tau: float) -> np.ndarray:
     u = max(u, 0.0)
     key = _u_key(u)
     if key not in system._prop_cache:
-        system._prop_cache[key] = system.exp_a(u) + system.integral_block(u) @ system.b
+        # integral_block stores e^{Au} too, so exp_a is then a cache hit
+        integral = system.integral_block(u)
+        system._prop_cache[key] = system.exp_a(u) + integral @ system.b
     return system._prop_cache[key]
 
 
@@ -134,17 +136,20 @@ def _gl(fn, a: float, b: float, nodes=_GL_NODES, weights=_GL_WEIGHTS) -> np.ndar
     return half * acc
 
 
-def adaptive_gl(fn, a: float, b: float, tol: float,
-                max_levels: int = DEFAULT.quad_max_levels) -> np.ndarray:
-    """Adaptive Gauss-Legendre: bisect until the refinement stops moving."""
+def adaptive_gl(panel: Callable[[float, float], np.ndarray], a: float, b: float,
+                tol: float, max_levels: int = DEFAULT.quad_max_levels) -> np.ndarray:
+    """Adaptive Gauss-Legendre: bisect until the refinement stops moving.
+
+    ``panel(lo, hi)`` is the 10-point Gauss-Legendre estimate on [lo, hi].
+    """
     if b <= a:
-        return 0.0 * np.atleast_1d(fn(a))
+        return 0.0 * panel(a, a)
 
     def recurse(lo: float, hi: float, whole: np.ndarray, budget: float,
                 level: int) -> np.ndarray:
         mid = 0.5 * (lo + hi)
-        left = _gl(fn, lo, mid)
-        right = _gl(fn, mid, hi)
+        left = panel(lo, mid)
+        right = panel(mid, hi)
         refined = left + right
         err = sup_norm(refined - whole)
         if err <= budget:
@@ -158,7 +163,7 @@ def adaptive_gl(fn, a: float, b: float, tol: float,
         return (recurse(lo, mid, left, half_budget, level + 1)
                 + recurse(mid, hi, right, half_budget, level + 1))
 
-    return recurse(a, b, _gl(fn, a, b), tol, 0)
+    return recurse(a, b, panel(a, b), tol, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +196,18 @@ def _trig_kernel(system: DepcaSystem, u: float, omega: float,
     return kernel
 
 
+def _gl_stack(system: DepcaSystem, width: float) -> np.ndarray:
+    """half w_k e^{A half (1 - x_k)} for the 10 Gauss-Legendre nodes x_k of a
+    panel of this width (half = width / 2), stacked and cached by width."""
+    key = ("gl10", _u_key(width))
+    if key not in system._exp_cache:
+        half = 0.5 * width
+        system._exp_cache[key] = np.stack(
+            [half * w * expm(system.a, half * (1.0 - x))
+             for x, w in zip(_GL_NODES, _GL_WEIGHTS)])
+    return system._exp_cache[key]
+
+
 def interval_forcing(system: DepcaSystem, n: int, u: float, quad_tol: float,
                      tols: Tolerances = DEFAULT) -> np.ndarray:
     """integral_n^{n+u} e^{A(n+u-s)} f(s) ds for 0 <= u <= 1.
@@ -211,14 +228,20 @@ def interval_forcing(system: DepcaSystem, n: int, u: float, quad_tol: float,
     def quad_for(term_signal: sig.Signal) -> np.ndarray:
         t_end = n + u
 
-        def integrand(s: float) -> np.ndarray:
-            return expm(system.a, t_end - s) @ term_signal.evaluate(s)
+        def panel(lo: float, hi: float) -> np.ndarray:
+            # e^{A(t_end - s)} = e^{A(t_end - hi)} e^{A(hi - s)}: the second
+            # factor depends only on the panel width and the node
+            width = hi - lo
+            nodes = 0.5 * (lo + hi) + 0.5 * width * _GL_NODES
+            inner = np.einsum("kij,kj->i", _gl_stack(system, width),
+                              term_signal.evaluate_grid(nodes))
+            return system.exp_a(t_end - hi) @ inner
 
         cuts = [n, *(x for x in term_signal.breakpoints_in(n, t_end)), t_end]
         total = np.zeros(system.dimension, dtype=complex)
         budget = quad_tol / max(1, len(cuts) - 1)
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            total = total + adaptive_gl(integrand, lo, hi, budget,
+            total = total + adaptive_gl(panel, lo, hi, budget,
                                         tols.quad_max_levels)
         return total
 

@@ -67,8 +67,11 @@ def expm(a, t: float = 1.0, tols: Tolerances = DEFAULT) -> np.ndarray:
     The squaring count is capped; exceeding the cap means the propagation
     window is ill-posed for this matrix and an ExpmOverflowError is raised.
     """
-    a = as_square_matrix(a, "A")
-    m = a * t
+    return _expm(as_square_matrix(a, "A") * t, tols)
+
+
+def _expm(m: np.ndarray, tols: Tolerances = DEFAULT) -> np.ndarray:
+    """Pade-13 kernel of ``expm`` on an already validated square array."""
     p = m.shape[0]
     norm1 = float(np.linalg.norm(m, 1)) if p else 0.0
     squarings = 0
@@ -115,8 +118,9 @@ def expm_integral(a, b, u: float, tols: Tolerances = DEFAULT
     w = np.zeros((2 * p, 2 * p), dtype=dtype)
     w[:p, :p] = a
     w[:p, p:] = np.eye(p)
-    e = expm(w, u, tols)
-    return e[:p, :p].astype(dtype, copy=False), e[:p, p:] @ b
+    e = _expm(w * u, tols)
+    # copies, so a cached block does not keep the whole 2p x 2p array alive
+    return e[:p, :p].astype(dtype), e[:p, p:] @ b
 
 
 # ---------------------------------------------------------------------------

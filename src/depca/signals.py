@@ -214,6 +214,8 @@ class RationalPeriodic(Signal):
     phase: Fraction = Fraction(0)
     rule_breaks: tuple[float, ...] = ()
     sup_hint: float | None = None
+    # (m, p) sample table of a piecewise-constant rule, set by from_samples
+    table: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def period(self) -> float:
@@ -225,17 +227,18 @@ class RationalPeriodic(Signal):
         if not vals:
             raise ValueError("need at least one sample")
         dim = vals[0].shape[0]
+        table = np.stack([_as_coef(v, dim) for v in vals])
         m = len(vals)
         period = p0 / q0
-        table = tuple(vals)
 
         def rule(tau: float) -> np.ndarray:
             idx = int(math.floor(tau * m / period))
             return table[min(max(idx, 0), m - 1)]
 
         breaks = tuple(j * period / m for j in range(1, m))
-        sup = max(float(np.max(np.abs(v))) for v in vals)
-        return RationalPeriodic(int(p0), int(q0), rule, dim, Fraction(0), breaks, sup)
+        sup = float(np.max(np.abs(table)))
+        return RationalPeriodic(int(p0), int(q0), rule, dim, Fraction(0), breaks, sup,
+                                table)
 
     @staticmethod
     def from_callable(p0: int, q0: int, fn, dimension: int) -> "RationalPeriodic":
@@ -250,10 +253,21 @@ class RationalPeriodic(Signal):
     def evaluate(self, t: float) -> np.ndarray:
         return _as_coef(self.rule(self._wrap(t)), self.dimension)
 
+    def evaluate_grid(self, ts) -> np.ndarray:
+        if self.table is None:
+            return super().evaluate_grid(ts)
+        # the arithmetic of _wrap and of the from_samples rule, on arrays
+        period = self.period
+        m = len(self.table)
+        x = np.asarray(ts, dtype=float) + float(self.phase)
+        tau = x - period * np.floor(x / period)
+        idx = np.floor(tau * m / period).astype(int)
+        return self.table[np.clip(idx, 0, m - 1)]
+
     def shift(self, s: int) -> "RationalPeriodic":
         new_phase = (self.phase + s) % Fraction(self.p0, self.q0)
         return RationalPeriodic(self.p0, self.q0, self.rule, self.dimension,
-                                new_phase, self.rule_breaks, self.sup_hint)
+                                new_phase, self.rule_breaks, self.sup_hint, self.table)
 
     def sup_bound(self) -> float:
         if self.sup_hint is not None:
@@ -557,7 +571,8 @@ def linear_map(m, f: Signal) -> Signal:
     if isinstance(f, RationalPeriodic):
         rule = f.rule
         return RationalPeriodic(f.p0, f.q0, lambda tau: m @ np.atleast_1d(rule(tau)),
-                                out_dim, f.phase, f.rule_breaks, None)
+                                out_dim, f.phase, f.rule_breaks, None,
+                                None if f.table is None else f.table @ m.T)
     if isinstance(f, Modulated):
         return Modulated(linear_map(m, f.base), f.omega, f.gain, out_dim)
     breaks = f.breakpoints_in

@@ -1,9 +1,13 @@
 """Tests for the hybrid solver: propagation, forcing integrals, reduction,
 bounded trajectories, the hyperbolic B = 0 path and the rotational path."""
 
+from fractions import Fraction
+
+import mpmath as mp
 import numpy as np
 import pytest
 
+from depca import depca_engine
 from depca import diagnostics as diag
 from depca import signals as sig
 from depca.depca_engine import (
@@ -108,6 +112,101 @@ class TestForcingIntegral:
         t = 2.75
         got = forcing_integral(system, t, 1e-12)
         np.testing.assert_allclose(got, [np.exp(1j * t) * 0.75], atol=1e-10)
+
+
+# Upper-triangular A, so e^{A tau} has the closed form used by mp_h below.
+PANEL_A = np.array([[-3.0, 0.3], [0.0, 2.0]])
+PANEL_B = np.diag([0.4, 0.3])
+AA_AMPLITUDE = [1.0, -0.5]
+RATIONAL_SAMPLES = [[1.0, 0.5], [-0.7, 0.2], [0.3, -1.0]]  # period 6/5, 3 pieces
+
+
+def aa_value(s):
+    return mp.sin(1 / (2 + mp.cos(s) + mp.cos(mp.sqrt(2) * s)))
+
+
+def mp_h(n, pieces):
+    """h(n) = integral_n^{n+1} e^{A(n+1-s)} f(s) ds at 30 digits.
+
+    ``pieces`` lists (lo, hi, g) with f = g on (lo, hi); e^{A tau} for
+    A = [[a, c], [0, d]] is [[e^{a tau}, c (e^{d tau} - e^{a tau})/(d - a)],
+    [0, e^{d tau}]].
+    """
+    with mp.workdps(30):
+        a, c, d = (mp.mpf(PANEL_A[0, 0]), mp.mpf(PANEL_A[0, 1]),
+                   mp.mpf(PANEL_A[1, 1]))
+        end = mp.mpf(n + 1)
+        out = [mp.mpf(0), mp.mpf(0)]
+        for lo, hi, g in pieces:
+            def first(s):
+                tau = end - s
+                f1, f2 = g(s)
+                return (mp.exp(a * tau) * f1
+                        + c * (mp.exp(d * tau) - mp.exp(a * tau)) / (d - a) * f2)
+
+            def second(s):
+                return mp.exp(d * (end - s)) * g(s)[1]
+
+            out[0] += mp.quad(first, [lo, hi])
+            out[1] += mp.quad(second, [lo, hi])
+        return np.array([float(v) for v in out])
+
+
+def aa_pieces(n):
+    def g(s):
+        base = aa_value(s)
+        return [mp.mpf(AA_AMPLITUDE[0]) * base, mp.mpf(AA_AMPLITUDE[1]) * base]
+    return [(mp.mpf(n), mp.mpf(n + 1), g)]
+
+
+def rational_pieces(n):
+    """Split [n, n+1] at the jumps, the multiples of 2/5 = (6/5)/3."""
+    width = Fraction(2, 5)
+    cuts = sorted({Fraction(n), Fraction(n + 1),
+                   *(k * width for k in range(-100, 100) if n < k * width < n + 1)})
+    pieces = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        idx = int(((lo + hi) / 2 % Fraction(6, 5)) / width)
+        value = [mp.mpf(v) for v in RATIONAL_SAMPLES[idx]]
+        pieces.append((mp.mpf(lo.numerator) / lo.denominator,
+                       mp.mpf(hi.numerator) / hi.denominator,
+                       lambda s, value=value: value))
+    return pieces
+
+
+def panel_system(kind):
+    if kind == "aa":
+        forcing = sig.AATest.from_amplitude(AA_AMPLITUDE)
+    else:
+        forcing = sig.RationalPeriodic.from_samples(6, 5, RATIONAL_SAMPLES)
+    return DepcaSystem.build(PANEL_A, PANEL_B, forcing)
+
+
+class TestPanelQuadrature:
+    @pytest.mark.parametrize("kind,pieces", [("aa", aa_pieces),
+                                             ("rational", rational_pieces)])
+    @pytest.mark.parametrize("n", [-3, 0, 7])
+    def test_matches_mpmath(self, kind, pieces, n):
+        got = interval_forcing(panel_system(kind), n, 1.0, 1e-11)
+        np.testing.assert_allclose(got, mp_h(n, pieces(n)), rtol=0, atol=1e-10)
+
+    # expm calls for one more h(7) after h(0), when every quadrature node
+    # paid for its own exponential
+    @pytest.mark.parametrize("kind,per_node_calls", [("aa", 30), ("rational", 90)])
+    def test_exponentials_are_reused_across_intervals(self, kind, per_node_calls,
+                                                      monkeypatch):
+        system = panel_system(kind)
+        interval_forcing(system, 0, 1.0, 1e-11)
+        calls = []
+        expm = depca_engine.expm
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return expm(*args, **kwargs)
+
+        monkeypatch.setattr(depca_engine, "expm", counting)
+        interval_forcing(system, 7, 1.0, 1e-11)
+        assert 5 * len(calls) <= per_node_calls
 
 
 class TestReduceToDifference:
@@ -221,6 +320,33 @@ class TestSolveBoundedDepca:
         for n in range(-8, 9):
             np.testing.assert_allclose(traj.integer_samples[n],
                                        sol.evaluate(float(n)), atol=10 * tol)
+
+
+class TestWideSystems:
+    """p > 8 puts a 2p x 2p matrix through the exponential-integral block."""
+
+    @pytest.mark.parametrize("p", [9, 16])
+    def test_diagonal_system_matches_scalar_solves(self, p):
+        # |c| stays away from 1 on both halves, and b > 0 keeps Z(u) invertible
+        a_diag = np.concatenate([np.linspace(-3.0, -1.0, p // 2),
+                                 np.linspace(0.5, 1.5, p - p // 2)])
+        b_diag = np.linspace(0.1, 0.4, p)
+        coef = np.linspace(1.0, -1.0, p)
+        omega = 1.3
+        tol = 1e-10
+        traj = solve_bounded_depca(
+            DepcaSystem.build(np.diag(a_diag), np.diag(b_diag),
+                              sig.TrigPolynomial.cosine(coef, omega)),
+            -3, 3, tol)
+        ts = np.linspace(-3, 3, 37)
+        got = traj.evaluate_grid(ts)
+        for i in range(p):
+            scalar = solve_bounded_depca(
+                scalar_system(a_diag[i], b_diag[i],
+                              sig.TrigPolynomial.cosine([coef[i]], omega)),
+                -3, 3, tol)
+            np.testing.assert_allclose(got[:, i], scalar.evaluate_grid(ts)[:, 0],
+                                       rtol=0, atol=1e-9)
 
 
 class TestMassera:

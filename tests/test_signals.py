@@ -94,6 +94,23 @@ class TestStructure:
         dev = np.max(np.abs(f.evaluate_grid(ts + period) - f.evaluate_grid(ts)))
         assert dev < 1e-12
 
+    def test_rational_grid_matches_pointwise(self):
+        # the table lookup of from_samples, on shifted and mapped signals too
+        f = sig.RationalPeriodic.from_samples(6, 5, [[1.0, 0.5], [-0.7, 0.2],
+                                                     [0.3, -1.0]])
+        ts = np.concatenate([np.linspace(-9.3, 9.3, 997), 0.4 * np.arange(-20, 21)])
+        for g in (f, sig.shift(f, 7), sig.component(f, 1),
+                  sig.linear_map([[1.0, 2.0], [0.0, -1.0], [3.0, 3.0]], f)):
+            pointwise = np.stack([g.evaluate(float(t)) for t in ts])
+            np.testing.assert_allclose(g.evaluate_grid(ts), pointwise,
+                                       rtol=0, atol=1e-14)
+
+    def test_rational_samples_validated_once(self):
+        with pytest.raises(ValueError):
+            sig.RationalPeriodic.from_samples(1, 1, [[1.0], [np.nan]])
+        with pytest.raises(ValueError):
+            sig.RationalPeriodic.from_samples(1, 1, [[1.0], [1.0, 2.0]])
+
     def test_sum_linearity_exact(self):
         f = sig.TrigPolynomial.cosine([1.0], 1.0)
         g = sig.StepOfSequence.from_periodic_values([[2.0], [-2.0]])
