@@ -401,17 +401,10 @@ def _solve_common(config: RunConfig, report: Report, reduce_mode: bool):
         report.set("K", cert.K)
         bc = bound_check(
             np.stack([traj.integer_samples[n] for n in range(traj.n0, traj.n1 + 1)]),
-            cert, _sup_discrete_forcing(system, config), slack=3 * config.tol)
+            cert, d.sup_forcing, slack=3 * config.tol)
         report.set("bound_certified", bc.certified_bound)
         report.set("bound_holds", bc.passed)
     return system, traj
-
-
-def _sup_discrete_forcing(system: DepcaSystem, config: RunConfig) -> float:
-    dsys = reduce_to_difference(system, min(0.05 * config.tol, 1e-11))
-    sup = max(float(np.max(np.abs(dsys.h(n))))
-              for n in range(config.n0 - 1, config.n1 + 1))
-    return sup
 
 
 def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:

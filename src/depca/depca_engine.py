@@ -366,6 +366,7 @@ class TrajectoryDiagnostics:
     residual_tol: float | None
     certificate: DichotomyCertificate | None
     sup_samples: float
+    sup_forcing: float              # max |h(n)| over n0 - 1 <= n <= n1
 
 
 @dataclass
@@ -373,8 +374,9 @@ class HybridTrajectory:
     """Integer samples plus per-interval continuous segments.
 
     ``evaluate`` is exact propagation within [n, n+1): the value is
-    Z(t, n) x(n) + H(t) for the direct solver, or a basis-mapped cascade
-    stack for the reduction solver.  Valid for n0 <= t <= n1.
+    Z(t, n) x(n) + H(t), from ``stitch_trajectory`` for both solvers (the
+    reduction solver applies it in the triangular basis and maps back).
+    Valid for n0 <= t <= n1.
     """
 
     n0: int
@@ -405,21 +407,6 @@ class HybridTrajectory:
         return (self.n0, self.n1)
 
 
-def _left_limit_defect(system: DepcaSystem, samples: dict[int, np.ndarray],
-                       dsys: DifferenceSystem, n0: int, n1: int) -> float:
-    """max over interior integers of |lim_{t->n^-} x(t) - x(n)|.
-
-    The left limit at n+1 of the segment on [n, n+1) is exactly
-    Z(n+1, n) x(n) + h(n), so the defect equals the recursion residual.
-    """
-    worst = 0.0
-    c = propagator(system, 1.0, 0.0)
-    for n in range(n0, n1):
-        left = c @ samples[n] + dsys.h(n)
-        worst = max(worst, sup_norm(left - samples[n + 1]))
-    return worst
-
-
 def ode_residual_check(traj: HybridTrajectory, system: DepcaSystem,
                        points_per_interval: int = 7,
                        tols: Tolerances = DEFAULT) -> tuple[float, float]:
@@ -427,8 +414,8 @@ def ode_residual_check(traj: HybridTrajectory, system: DepcaSystem,
 
     Returns (max residual, allowed tolerance); the tolerance is the
     configured scale factor times (1 + ||A|| + ||B||) times sup |x|.
-    Derivatives are only probed at interior points, where the equation
-    holds classically.
+    Derivatives are only probed where the equation holds classically: at
+    interior points, moved just past any forcing jump inside the stencil.
     """
     step = tols.central_diff_step
     worst = 0.0
@@ -437,6 +424,9 @@ def ode_residual_check(traj: HybridTrajectory, system: DepcaSystem,
         x_n = traj.integer_samples[n]
         for j in range(1, points_per_interval + 1):
             t = n + j / (points_per_interval + 1)
+            jumps = system.forcing.breakpoints_in(t - step, t + step)
+            if jumps:
+                t = max(jumps) + 2.0 * step
             x_plus = traj.evaluate(t + step)
             x_minus = traj.evaluate(t - step)
             x_t = traj.evaluate(t)
@@ -447,6 +437,83 @@ def ode_residual_check(traj: HybridTrajectory, system: DepcaSystem,
     allowed = tols.residual_scale * (1.0 + mat_norm(system.a)
                                      + mat_norm(system.b)) * max(sup_x, 1e-30)
     return worst, allowed
+
+
+def certify_companion(c, tols: Tolerances = DEFAULT) -> DichotomyCertificate:
+    """``certify_constant`` for a companion coefficient; an eigenvalue on
+    the unit circle raises NoDichotomyError."""
+    try:
+        return certify_constant(c, tols)
+    except BoundaryEigenvalueError as exc:
+        raise NoDichotomyError(
+            f"companion coefficient has no dichotomy: {exc}"
+        ) from exc
+
+
+def stitch_trajectory(system: DepcaSystem, dsys: DifferenceSystem,
+                      xs: np.ndarray, n0: int, n1: int, tol: float,
+                      quad_tol: float, tols: Tolerances = DEFAULT,
+                      certificate: DichotomyCertificate | None = None,
+                      verify_residual: bool = True,
+                      transform: np.ndarray | None = None,
+                      original: DepcaSystem | None = None) -> HybridTrajectory:
+    """The trajectory through the samples ``xs`` (n = n0..n1) of the
+    companion system ``dsys`` of ``system``, with its checks.
+
+    Segments follow the exact propagation formula Z(t, n) x(n) + H(t).
+    With ``transform`` T, ``system`` is ``original`` in the basis T: samples
+    and segments are mapped back by T, and the ODE residual is checked
+    against ``original``.  Continuity at the integers and the interior ODE
+    residual are verified before returning.
+    """
+    if transform is None:
+        def to_x(v: np.ndarray) -> np.ndarray:
+            return v
+        scale = 1.0
+    else:
+        def to_x(v: np.ndarray) -> np.ndarray:
+            return transform @ v
+        scale = mat_norm(transform)
+
+    # the left limit at n+1 of the segment on [n, n+1) is exactly
+    # Z(n+1, n) x(n) + h(n) = C x(n) + h(n), so the continuity defect at the
+    # integers is the recursion residual (times ||T|| in the original basis)
+    rec_res = recursion_residual(dsys, xs, n0)
+    continuity = scale * rec_res
+    if continuity > 10.0 * tol * scale:
+        raise ContinuityBreachError(
+            f"stitching defect {continuity:.3e} exceeds "
+            f"{10 * tol * scale:.3e}"
+        )
+
+    samples = {n: to_x(xs[i]) for i, n in enumerate(range(n0, n1 + 1))}
+
+    def segment(n: int, t: float) -> np.ndarray:
+        u = t - n
+        return to_x(propagator(system, u, 0.0) @ xs[n - n0]
+                    + interval_forcing(system, n, u, quad_tol, tols))
+
+    traj = HybridTrajectory(n0, n1, system.dimension, samples, segment)
+    residual_max = residual_tol = None
+    if verify_residual:
+        residual_max, residual_tol = ode_residual_check(
+            traj, system if original is None else original, 7, tols)
+        if residual_max > residual_tol:
+            raise ResidualCheckError(
+                f"interior ODE residual {residual_max:.3e} exceeds "
+                f"{residual_tol:.3e}"
+            )
+    traj.diagnostics = TrajectoryDiagnostics(
+        continuity_max=continuity,
+        continuity_tol=10.0 * tol * scale,
+        recursion_residual=rec_res,
+        residual_max=residual_max,
+        residual_tol=residual_tol,
+        certificate=certificate,
+        sup_samples=traj.sup_samples(),
+        sup_forcing=max(sup_norm(to_x(dsys.h(n))) for n in range(n0 - 1, n1 + 1)),
+    )
+    return traj
 
 
 def solve_bounded_depca(system: DepcaSystem, n0: int, n1: int, tol: float,
@@ -467,47 +534,10 @@ def solve_bounded_depca(system: DepcaSystem, n0: int, n1: int, tol: float,
 
     quad_tol = min(0.05 * tol, 1e-11)
     dsys = reduce_to_difference(system, quad_tol, tols)
-    try:
-        cert = certify_constant(dsys.constant_coefficient, tols)
-    except BoundaryEigenvalueError as exc:
-        raise NoDichotomyError(
-            f"companion coefficient has no dichotomy: {exc}"
-        ) from exc
-
+    cert = certify_companion(dsys.constant_coefficient, tols)
     xs = solve_bounded(dsys, cert, n0, n1, tol)
-    samples = {n: xs[i] for i, n in enumerate(range(n0, n1 + 1))}
-
-    def segment(n: int, t: float) -> np.ndarray:
-        u = t - n
-        return (propagator(system, u, 0.0) @ samples[n]
-                + interval_forcing(system, n, u, quad_tol, tols))
-
-    continuity = _left_limit_defect(system, samples, dsys, n0, n1)
-    if continuity > 10.0 * tol:
-        raise ContinuityBreachError(
-            f"stitching defect {continuity:.3e} exceeds 10 tol = {10 * tol:.3e}"
-        )
-    rec_res = recursion_residual(dsys, xs, n0)
-
-    traj = HybridTrajectory(n0, n1, system.dimension, samples, segment)
-    residual_max = residual_tol = None
-    if verify_residual:
-        residual_max, residual_tol = ode_residual_check(traj, system, 7, tols)
-        if residual_max > residual_tol:
-            raise ResidualCheckError(
-                f"interior ODE residual {residual_max:.3e} exceeds "
-                f"{residual_tol:.3e}"
-            )
-    traj.diagnostics = TrajectoryDiagnostics(
-        continuity_max=continuity,
-        continuity_tol=10.0 * tol,
-        recursion_residual=rec_res,
-        residual_max=residual_max,
-        residual_tol=residual_tol,
-        certificate=cert,
-        sup_samples=traj.sup_samples(),
-    )
-    return traj
+    return stitch_trajectory(system, dsys, xs, n0, n1, tol, quad_tol, tols,
+                             certificate=cert, verify_residual=verify_residual)
 
 
 # ---------------------------------------------------------------------------

@@ -394,11 +394,13 @@ def simultaneous_triangularize(a, b, user_t=None, tols: Tolerances = DEFAULT
                 np.triu(b).astype(complex))
 
     comm = a @ b - b @ a
-    if mat_norm(comm) > tols.commute_tol * scale:
+    comm_norm = mat_norm(comm)
+    if comm_norm > tols.commute_tol * scale:
         # necessary condition: the commutator of a triangularizable pair is
-        # nilpotent (all eigenvalues zero)
-        comm_eigs = np.linalg.eigvals(comm)
-        if np.max(np.abs(comm_eigs)) > 1e-8 * max(1.0, mat_norm(comm)):
+        # nilpotent.  Test (AB - BA)^p, not its eigenvalues: a nilpotent
+        # Jordan block of size k has computed eigenvalues of order eps^(1/k)
+        power = np.linalg.matrix_power(comm, p)
+        if mat_norm(power) > 1e-8 * max(1.0, comm_norm) ** p:
             raise NotTriangularizableError(
                 "commutator AB - BA is not nilpotent"
             )

@@ -1,17 +1,21 @@
 """Triangular cascade solver.
 
-When A and B triangularize simultaneously, the transformed system decouples
-from the bottom row up: each level is a scalar hybrid equation whose
-inhomogeneity aggregates the already-solved levels (their continuous values
-and their integer samples), so the cascade is solved from the last row to
-the first and mapped back through the basis change.  Levels are solved on
-nested windows sized so every truncated series only reads data where the
-lower level is valid.
+When A and B triangularize simultaneously, the transformed system
+(T^-1 A T, T^-1 B T, T^-1 f) has an upper triangular companion
+C = T^-1 Z(1, 0) T, so its difference system y(n+1) = C y(n) + h(n)
+decouples on the integers from the last row up: level i is the scalar
+recursion y_i(n+1) = c_ii y_i(n) + [h_i(n) + sum_{j>i} c_ij y_j(n)], solved
+by its own Green series once the levels below it are known.  C and h(n)
+come from one ``reduce_to_difference`` of the transformed system, so they
+use the closed forms and the quadrature of the direct solver.  Levels are
+solved on nested windows sized so every truncated series only reads
+samples where the lower levels are valid.  The samples x(n) = T y(n) and
+the segments between them come from ``stitch_trajectory``, the direct
+solver's propagation formula and checks.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,19 +24,25 @@ from . import signals as sig
 from .depca_engine import (
     DepcaSystem,
     HybridTrajectory,
-    TrajectoryDiagnostics,
-    ode_residual_check,
+    certify_companion,
+    reduce_to_difference,
     solve_bounded_depca,
+    stitch_trajectory,
 )
-from .difference_engine import truncation_radius
-from .errors import EigenConditionFailError, ResidualCheckError
+from .difference_engine import (
+    DichotomyCertificate,
+    DifferenceSystem,
+    solve_bounded,
+    truncation_radius,
+)
+from .errors import EigenConditionFailError, WindowTooSmallError
 from .matrix_core import (
     EigenConditionCheck,
     _phi1,
-    as_square_matrix,
     check_eigenvalue_condition,
     mat_norm,
     simultaneous_triangularize,
+    sup_norm,
 )
 from .tolerances import DEFAULT, Tolerances
 
@@ -49,6 +59,7 @@ class TriangularCascade:
     transform: np.ndarray
     a_upper: np.ndarray
     b_upper: np.ndarray
+    forcing: sig.Signal
     forcing_components: tuple[sig.Signal, ...]
     diagonal_pairs: tuple[tuple[complex, complex], ...]
     eigen_checks: tuple[EigenConditionCheck, ...]
@@ -80,7 +91,7 @@ def build_cascade(system: DepcaSystem, user_t=None,
         pairs.append((alpha, beta))
         checks.append(check)
 
-    return TriangularCascade(t, a_upper, b_upper, components,
+    return TriangularCascade(t, a_upper, b_upper, transformed, components,
                              tuple(pairs), tuple(checks))
 
 
@@ -112,137 +123,95 @@ class CascadeTrace:
     levels: tuple[LevelTrace, ...]
 
 
-def _window_margins(cascade: TriangularCascade, sup_h: list[float],
-                    tol: float, tols: Tolerances) -> list[int]:
-    """Per-level window padding, from a-priori sup and truncation estimates.
+def _window_margins(cascade: TriangularCascade, c_bar: np.ndarray,
+                    certs: list[DichotomyCertificate], sup_f: float,
+                    tol: float) -> list[int]:
+    """Per-level window padding, from a-priori bounds on the level forcings.
 
-    Level i's series reaches ``radius_i`` beyond its own window into the
-    aggregated inhomogeneity, which reads level j > i; the margins therefore
-    accumulate upward.  All sups here are conservative overestimates (they
-    only enter logarithmically).
+    Level i's series reads g_i(n) = h_i(n) + sum_{j>i} c_ij y_j(n) up to
+    ``radius_i`` + 1 integers beyond its own window, hence reads every
+    level j > i there; the margins therefore accumulate toward the last
+    level.  The sups are upper bounds (they only enter logarithmically):
+    |h_i(n)| <= phi1(mu_i) sup|T^-1 f|, with mu_i the logarithmic sup-norm
+    of the trailing block A[i:, i:]; sup g_i = sup h_i + sum_{j>i} |c_ij|
+    sup y_j, and sup y_i = certs[i].solution_bound(sup g_i).
     """
     p = cascade.dimension
-    sup_z = [0.0] * p
+    a = cascade.a_upper
     sup_y = [0.0] * p
     radius = [1] * p
     for i in range(p - 1, -1, -1):
-        agg = sup_h[i]
-        for j in range(i + 1, p):
-            agg += (abs(cascade.a_upper[i, j]) + abs(cascade.b_upper[i, j])) * sup_y[j]
-        sup_z[i] = agg
-        alpha, beta = cascade.diagonal_pairs[i]
-        c = scalar_companion(alpha, beta)
-        rate = tols.alpha_safety * abs(math.log(abs(c)))
-        k_est = tols.k_headroom
+        mu = max(a[k, k].real + float(np.sum(np.abs(a[k, k + 1:])))
+                 for k in range(i, p))
+        sup_g = _phi1(complex(mu)).real * sup_f + sum(
+            abs(c_bar[i, j]) * sup_y[j] for j in range(i + 1, p))
+        sup_y[i] = certs[i].solution_bound(sup_g)
         # max(sup, 1) also covers the zero-forcing probe inside solve_bounded
-        radius[i] = truncation_radius(rate, k_est, max(sup_z[i], 1.0), tol)
-        factor = k_est * (1.0 + math.exp(-rate)) / (1.0 - math.exp(-rate))
-        disc = factor * sup_z[i]
-        amp = math.exp(abs(alpha.real)) * (1.0 + abs(beta))
-        sup_y[i] = disc * amp + sup_z[i] * math.exp(abs(alpha.real))
+        radius[i] = truncation_radius(certs[i].alpha, certs[i].K,
+                                      max(sup_g, 1.0), tol)
 
     margins = [0] * p
-    acc = 0
     for i in range(1, p):
-        acc += radius[i - 1] + 2
-        margins[i] = acc
+        margins[i] = margins[i - 1] + radius[i - 1] + 2
     return margins
 
 
 def solve_by_reduction(system: DepcaSystem, user_t=None, n0: int = 0,
                        n1: int = 1, tol: float = 1e-9,
                        tols: Tolerances = DEFAULT) -> HybridTrajectory:
-    """Solve the hybrid system through its triangular cascade.
+    """Solve the hybrid system by back-substitution on its triangular
+    companion.
 
-    Builds the cascade, solves the bottom scalar level on the widest window,
-    forms each aggregated inhomogeneity from the solved levels (continuous
-    part from segment evaluators, [t]-part from integer samples), solves
-    upward, and maps back x = T y.  The result carries a cascade trace and
-    passes the same continuity/residual verification as the direct solver.
+    Builds the cascade, reduces the transformed system once, certifies each
+    diagonal companion coefficient, solves the scalar level recursions from
+    the last level up on nested windows, and stitches x = T y with the
+    direct solver's segments and checks.  The result carries a cascade
+    trace.
     """
     if n0 >= n1:
         raise ValueError("need n0 < n1")
     cascade = build_cascade(system, user_t, tols)
     p = cascade.dimension
     t_mat = cascade.transform
+    tsys = DepcaSystem.build(cascade.a_upper, cascade.b_upper, cascade.forcing)
+    quad_tol = min(0.05 * tol, 1e-11)
+    dsys = reduce_to_difference(tsys, quad_tol, tols)
+    c_bar = dsys.constant_coefficient
+    certs = [certify_companion(c_bar[i:i + 1, i:i + 1], tols) for i in range(p)]
+    sup_f = mat_norm(np.linalg.inv(t_mat)) * system.forcing.sup_bound()
+    margins = _window_margins(cascade, c_bar, certs, sup_f, tol)
 
-    sup_h = [max(comp.sup_bound(), 1e-30) for comp in cascade.forcing_components]
-    margins = _window_margins(cascade, sup_h, tol, tols)
+    levels: list[np.ndarray] = [np.empty(0)] * p
 
-    solved: dict[int, HybridTrajectory] = {}
+    def level_sample(j: int, n: int) -> complex:
+        k = n - (n0 - margins[j])
+        if not 0 <= k < len(levels[j]):
+            raise WindowTooSmallError(
+                f"cascade level {j} is solved on "
+                f"[{n0 - margins[j]}, {n1 + margins[j]}], but an upper level "
+                f"reads it at n = {n}"
+            )
+        return levels[j][k]
+
     for i in range(p - 1, -1, -1):
-        lo, hi = n0 - margins[i], n1 + margins[i]
-        z_i = _aggregate_inhomogeneity(cascade, i, solved)
-        alpha, beta = cascade.diagonal_pairs[i]
-        solved[i] = solve_scalar_depca(alpha, beta, z_i, lo, hi, tol, tols)
+        def g(n: int, i: int = i) -> complex:
+            return dsys.h(n)[i] + sum(c_bar[i, j] * level_sample(j, n)
+                                      for j in range(i + 1, p))
 
-    samples = {
-        n: t_mat @ np.array([solved[i].integer_samples[n][0] for i in range(p)])
-        for n in range(n0, n1 + 1)
-    }
+        level = DifferenceSystem.constant(c_bar[i:i + 1, i:i + 1], g)
+        levels[i] = solve_bounded(level, certs[i], n0 - margins[i],
+                                  n1 + margins[i], tol)[:, 0]
 
-    def segment(n: int, t: float) -> np.ndarray:
-        y = np.array([solved[i].evaluate(t)[0] for i in range(p)])
-        return t_mat @ y
-
-    traj = HybridTrajectory(n0, n1, p, samples, segment)
+    ys = np.column_stack([levels[i][margins[i]:margins[i] + n1 - n0 + 1]
+                          for i in range(p)])
+    traj = stitch_trajectory(tsys, dsys, ys, n0, n1, tol, quad_tol, tols,
+                             transform=t_mat, original=system)
     traj.cascade = CascadeTrace(
         t_mat,
         tuple(
-            LevelTrace(i, *cascade.diagonal_pairs[i],
-                       scalar_companion(*cascade.diagonal_pairs[i]),
-                       solved[i].window, solved[i].sup_samples())
+            LevelTrace(i, *cascade.diagonal_pairs[i], complex(c_bar[i, i]),
+                       (n0 - margins[i], n1 + margins[i]), sup_norm(levels[i]))
             for i in range(p)
         ),
     )
-
-    level_cont = max(solved[i].diagnostics.continuity_max for i in range(p))
-    continuity = mat_norm(t_mat) * level_cont
-    residual_max, residual_tol = ode_residual_check(traj, system, 7, tols)
-    if residual_max > residual_tol:
-        raise ResidualCheckError(
-            f"cascade trajectory residual {residual_max:.3e} exceeds "
-            f"{residual_tol:.3e}"
-        )
-    traj.diagnostics = TrajectoryDiagnostics(
-        continuity_max=continuity,
-        continuity_tol=10.0 * tol * mat_norm(t_mat),
-        recursion_residual=max(solved[i].diagnostics.recursion_residual
-                               for i in range(p)),
-        residual_max=residual_max,
-        residual_tol=residual_tol,
-        certificate=None,
-        sup_samples=traj.sup_samples(),
-    )
     return traj
-
-
-def _aggregate_inhomogeneity(cascade: TriangularCascade, i: int,
-                             solved: dict[int, HybridTrajectory]) -> sig.Signal:
-    """z_i(t) = sum_{j>i} (a_ij y_j(t) + b_ij y_j([t])) + h_i(t).
-
-    Solved components enter as evaluator-backed signals: z_i jumps exactly
-    where y_j([t]) does (the integers), so it stays piecewise continuous
-    with lateral limits, which is all the scalar solver needs.
-    """
-    h_i = cascade.forcing_components[i]
-    p = cascade.dimension
-    upper = [(j, complex(cascade.a_upper[i, j]), complex(cascade.b_upper[i, j]))
-             for j in range(i + 1, p)
-             if abs(cascade.a_upper[i, j]) + abs(cascade.b_upper[i, j]) > 0.0]
-    if not upper:
-        return h_i
-
-    def fn(t: float) -> np.ndarray:
-        val = h_i.evaluate(t).astype(complex)
-        n = math.floor(t)
-        for j, a_ij, b_ij in upper:
-            y_j = solved[j]
-            val = val + a_ij * y_j.evaluate(t) + b_ij * y_j.integer_samples[min(n, y_j.n1)]
-        return val
-
-    sup_hint = h_i.sup_bound() + sum(
-        (abs(a_ij) + abs(b_ij)) * solved[j].sup_samples() * 10.0
-        for j, a_ij, b_ij in upper
-    )
-    return sig.CallableSignal(fn, 1, sup_hint, h_i.breakpoints_in)

@@ -4,8 +4,8 @@ The catalog covers trigonometric polynomials (almost periodic), integer-step
 signals lifted from sequences (discontinuous on the integers), exactly
 rational-periodic signals, a standard almost-automorphic-but-not-almost-
 periodic test family, sums, compositions with a fixed set of continuous
-outer maps, and evaluator-backed signals used internally by the cascade
-solver.  Signals are immutable; evaluation is pure.
+outer maps, and evaluator-backed signals (the fallback of ``linear_map``
+and of the primitive screen).  Signals are immutable; evaluation is pure.
 """
 
 from __future__ import annotations
@@ -481,11 +481,10 @@ def compose(outer, inner: Signal) -> Composite:
 
 @dataclass(frozen=True)
 class CallableSignal(Signal):
-    """Evaluator-backed signal (used for cascade inhomogeneities)."""
+    """Evaluator-backed signal; its sup bound is the largest value seen."""
 
     fn: Callable[[float], np.ndarray]
     dimension: int
-    sup_hint: float | None = None
     breaks_fn: Callable[[float, float], list[float]] | None = None
     _observed: list = field(default_factory=lambda: [0.0], repr=False, compare=False)
 
@@ -501,11 +500,9 @@ class CallableSignal(Signal):
         if breaks is not None:
             shifted_breaks = lambda a, b: [t - s for t in breaks(a + s, b + s)]
         return CallableSignal(lambda t: base(t + s), self.dimension,
-                              self.sup_hint, shifted_breaks)
+                              shifted_breaks)
 
     def sup_bound(self) -> float:
-        if self.sup_hint is not None:
-            return max(self.sup_hint, self._observed[0])
         return self._observed[0]
 
     def breakpoints_in(self, a: float, b: float) -> list[float]:
@@ -577,7 +574,7 @@ def linear_map(m, f: Signal) -> Signal:
         return Modulated(linear_map(m, f.base), f.omega, f.gain, out_dim)
     breaks = f.breakpoints_in
     return CallableSignal(lambda t: m @ f.evaluate(t), out_dim,
-                          None, lambda a, b: breaks(a, b))
+                          lambda a, b: breaks(a, b))
 
 
 def component(f: Signal, i: int) -> Signal:
@@ -656,7 +653,7 @@ def integral_primitive_bounded(f: Signal, window: float, grid_step: float
     ts_pos, fs_pos = _simpson_cells(f, 0.0, window, grid_step)
     # mirror: F(-t) accumulates f(-s) with a sign flip
     mirrored = CallableSignal(lambda t: f.evaluate(-t), f.dimension,
-                              None, lambda a, b: sorted(-x for x in f.breakpoints_in(-b, -a)))
+                              lambda a, b: sorted(-x for x in f.breakpoints_in(-b, -a)))
     ts_neg, fs_neg = _simpson_cells(mirrored, 0.0, window, grid_step)
 
     ts = np.array([0.0] + ts_pos + [-t for t in ts_neg])

@@ -1,0 +1,59 @@
+"""Tests for the command-line front end."""
+
+import json
+
+import numpy as np
+import pytest
+
+from depca import cli, depca_engine
+from depca.depca_engine import DepcaSystem, reduce_to_difference
+from depca.difference_engine import certify_constant
+
+CONFIG = {
+    "system": {"dimension": 2,
+               "A": [[-1.0, 0.3], [0.0, 0.5]],
+               "B": [[0.2, 0.1], [0.0, -0.3]]},
+    "forcing": {"kind": "sum", "parts": [
+        {"kind": "cos", "coefficient": [1.0, -0.5], "omega": 1.0},
+        {"kind": "step", "values": [[0.5, 0.0], [-0.25, 1.0]]},
+    ]},
+    "solve": {"n0": -3, "n1": 3, "tol": 1e-8, "dt": 0.25},
+    "mode": "solve",
+}
+
+
+def report_value(path, key):
+    for line in path.read_text().splitlines():
+        if line.startswith(f"{key} = "):
+            return line.split(" = ", 1)[1]
+    raise KeyError(key)
+
+
+def test_solve_reduces_once_and_certifies_the_bound(tmp_path, monkeypatch):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(CONFIG))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return reduce_to_difference(*args, **kwargs)
+
+    monkeypatch.setattr(depca_engine, "reduce_to_difference", counting)
+    monkeypatch.setattr(cli, "reduce_to_difference", counting, raising=False)
+    code = cli.main(["--config", str(config_path), "--out", str(tmp_path),
+                     "--quiet"])
+    assert code == 0
+    assert len(calls) == 1
+
+    # the certified bound K (1 + e^-a)/(1 - e^-a) max_{n0-1 <= n <= n1} |h(n)|,
+    # from a reduction of its own
+    config = cli.config_from_dict(CONFIG)
+    system = DepcaSystem.build(config.a, config.b, config.forcing_signal())
+    dsys = reduce_to_difference(system, min(0.05 * config.tol, 1e-11))
+    cert = certify_constant(dsys.constant_coefficient)
+    sup_h = max(float(np.max(np.abs(dsys.h(n))))
+                for n in range(config.n0 - 1, config.n1 + 1))
+    report = tmp_path / "solve_report.txt"
+    assert float(report_value(report, "bound_certified")) == pytest.approx(
+        cert.solution_bound(sup_h), rel=1e-12)
+    assert report_value(report, "bound_holds") == "true"

@@ -322,6 +322,38 @@ class TestSolveBoundedDepca:
                                        sol.evaluate(float(n)), atol=10 * tol)
 
 
+class TestForcingJumpOnResidualProbe:
+    """Period-3/2 forcing in 3 pieces jumps at every n + 1/2, which is one of
+    the residual check's probe points."""
+
+    SAMPLES = ["0.7", "-0.4", "0.2"]
+
+    def mp_h(self, n, a):
+        # f = SAMPLES[k mod 3] on [k/2, (k+1)/2): h(n) splits at n + 1/2,
+        # integral_lo^hi e^{a(n+1-s)} ds = (e^{a(n+1-lo)} - e^{a(n+1-hi)})/a
+        total = mp.mpf(0)
+        for k in (2 * n, 2 * n + 1):
+            lo, hi = mp.mpf(k) / 2, mp.mpf(k + 1) / 2
+            total += mp.mpf(self.SAMPLES[k % 3]) * (
+                mp.exp(a * (n + 1 - lo)) - mp.exp(a * (n + 1 - hi))) / a
+        return total
+
+    def test_matches_periodic_sum(self):
+        f = sig.RationalPeriodic.from_samples(3, 2, [[float(v)] for v in self.SAMPLES])
+        traj = solve_bounded_depca(scalar_system(-2.0, 0.3, f), -3, 3, 1e-9)
+        assert traj.diagnostics.residual_max <= traj.diagnostics.residual_tol
+        with mp.workdps(30):
+            a, b = mp.mpf(-2), mp.mpf("0.3")
+            c = mp.exp(a) + b * (mp.exp(a) - 1) / a  # |c| < 1: causal branch
+            for n in range(-3, 4):
+                # h(n) is 3-periodic, so sum_{r>=0} c^r h(n-1-r) folds into
+                # (1 - c^3)^-1 sum_{r<3} c^r h(n-1-r)
+                ref = sum(c ** r * self.mp_h(n - 1 - r, a)
+                          for r in range(3)) / (1 - c ** 3)
+                np.testing.assert_allclose(traj.integer_samples[n],
+                                           [float(ref)], rtol=0, atol=1e-9)
+
+
 class TestWideSystems:
     """p > 8 puts a 2p x 2p matrix through the exponential-integral block."""
 

@@ -183,3 +183,77 @@ class TestAggregatedInhomogeneity:
         got_jump = slope(1.0 + 1e-5) - slope(1.0 - 1e-5)
         assert np.max(np.abs(expected_jump)) > 1e-3
         np.testing.assert_allclose(got_jump, expected_jump, atol=1e-3)
+
+
+# A = S U S^-1, B = S V S^-1 with U, V upper triangular: triangularizable,
+# with a commutator that is a single nilpotent Jordan block, whose computed
+# eigenvalues are of order eps^(1/3) rather than zero
+S_CONJ = np.array([[1.0, 0.3, 0.0], [0.2, 1.0, 0.4], [0.0, -0.3, 1.0]])
+U_P3 = np.array([[-1.0, 0.4, 0.2], [0.0, 0.6, 0.3], [0.0, 0.0, -1.5]])
+V_P3 = np.array([[-0.3, 0.2, 0.1], [0.0, 0.2, -0.1], [0.0, 0.0, 0.4]])
+
+
+class TestConjugatedThreeLevels:
+    def test_matches_direct_solver(self):
+        tol = 1e-9
+        s_inv = np.linalg.inv(S_CONJ)
+        a = S_CONJ @ U_P3 @ s_inv
+        b = S_CONJ @ V_P3 @ s_inv
+        f = sig.Sum.of(
+            sig.TrigPolynomial.cosine([1.0, -0.5, 0.25], 2 * np.pi),
+            sig.StepOfSequence.from_periodic_values([[0.3, 0.1, -0.2],
+                                                     [-0.4, 0.2, 0.5]]),
+        )
+        red = solve_by_reduction(DepcaSystem.build(a, b, f), None, -4, 4, tol)
+        direct = solve_bounded_depca(DepcaSystem.build(a, b, f), -4, 4, tol)
+        for n in range(-4, 5):
+            np.testing.assert_allclose(red.integer_samples[n],
+                                       direct.integer_samples[n], atol=10 * tol)
+        ts = np.linspace(-3.95, 3.95, 80)
+        np.testing.assert_allclose(red.evaluate_grid(ts),
+                                   direct.evaluate_grid(ts), atol=10 * tol)
+
+        levels = red.cascade.levels
+        # companions 0.178 (stable), 2.096 (unstable), 0.430 (stable)
+        moduli = sorted(abs(lv.companion) for lv in levels)
+        assert moduli[0] < 1.0 < moduli[-1]
+        for upper, lower in zip(levels[:-1], levels[1:]):
+            assert lower.window[0] < upper.window[0]
+            assert upper.window[1] < lower.window[1]
+
+
+class TestQuadratureFreeCascade:
+    def test_closed_form_forcing_needs_no_quadrature(self, monkeypatch):
+        from depca import depca_engine
+
+        calls = []
+        adaptive_gl = depca_engine.adaptive_gl
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return adaptive_gl(*args, **kwargs)
+
+        monkeypatch.setattr(depca_engine, "adaptive_gl", counting)
+        b_coupled = np.array([[-0.5, 0.3], [0.0, -0.25]])
+        system = DepcaSystem.build(A_TRI, b_coupled, forcing_2d())
+        traj = solve_by_reduction(system, None, -4, 4, 1e-9)
+        traj.evaluate_grid(np.linspace(-4, 4, 41))
+        # trig and constant forcing have closed-form h(n) and segments in the
+        # triangular basis (solving each level as a continuous-time equation
+        # with evaluator-backed forcing made 393 calls here)
+        assert calls == []
+
+
+class TestLevelWindows:
+    def test_undeclared_forcing_bound_fails_typed(self):
+        # a step forcing without a declared sup reports the largest value
+        # seen so far, so the a-priori level windows can come out too narrow;
+        # reading a lower level outside its window must raise a DepcaError,
+        # never wrap around or escape as a bare exception
+        from depca.errors import WindowTooSmallError
+
+        f = sig.StepOfSequence.from_sequence(
+            lambda n: [1e3 * np.cos(n), 1e3 * np.sin(1.3 * n)])
+        system = DepcaSystem.build(A_TRI, np.array([[-0.5, 0.3], [0.0, -0.25]]), f)
+        with pytest.raises(WindowTooSmallError):
+            solve_by_reduction(system, None, -4, 4, 1e-9)
