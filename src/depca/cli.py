@@ -328,13 +328,7 @@ def _fmt(x) -> str:
 
 def write_trajectory_csv(path: Path, traj, dt: float) -> None:
     """CSV with rows at step dt plus both-sided straddles of every integer."""
-    ts = list(np.arange(traj.n0, traj.n1, dt))
-    ts.append(float(traj.n1))
-    for n in range(traj.n0, traj.n1 + 1):
-        for t in (n - 1e-9, n + 1e-9):
-            if traj.n0 <= t <= traj.n1:
-                ts.append(t)
-    grid = np.unique(np.asarray(ts))
+    grid = diag._grid_with_straddles(traj.n0, traj.n1, dt)
     values = traj.evaluate_grid(grid)
 
     header = ["t"]

@@ -1,10 +1,11 @@
 """Bounded solutions of x(n+1) = C(n) x(n) + h(n) under exponential dichotomy.
 
 Certificates (alpha, K, P, Y) are constructed for constant coefficients and
-verified for arbitrary ones; the discrete Green function they induce powers
-the absolutely convergent series for the unique bounded solution, truncated
-with an explicit geometric tail bound.  A direct one-sided summation oracle
-is kept alongside for cross-checks.
+verified for arbitrary ones.  For constant C the dichotomy is the pair of
+contractive steps CP and C^-1 Q held by ``GreenFunction``: K is the exact
+supremum of their scaled powers, and the bounded solution is one forward and
+one backward sweep with them, truncated with an explicit geometric tail
+bound.  A direct one-sided summation oracle is kept for cross-checks.
 
 Certificates and systems are immutable once built; caches are populated
 lazily and are safe under CPython's sequential test usage.
@@ -26,6 +27,8 @@ from .errors import (
 from .matrix_core import as_square_matrix, eigenvalues, mat_norm, spectral_split, sup_norm
 from .tolerances import DEFAULT, Tolerances
 
+POWER_CAP = 10**6  # largest power of a scaled dichotomy step searched
+
 
 @dataclass
 class DifferenceSystem:
@@ -37,7 +40,6 @@ class DifferenceSystem:
     constant_coefficient: np.ndarray | None = None
     _h_cache: dict = field(default_factory=dict, repr=False)
     _c_cache: dict = field(default_factory=dict, repr=False)
-    _sup_seen: list = field(default_factory=lambda: [0.0], repr=False)
 
     @staticmethod
     def constant(c, h: Callable[[int], np.ndarray]) -> "DifferenceSystem":
@@ -70,12 +72,8 @@ class DifferenceSystem:
             v = np.atleast_1d(np.asarray(self.forcing(n), dtype=complex))
             if v.shape != (self.dimension,):
                 raise ValueError(f"h({n}) has shape {v.shape}")
-            self._sup_seen[0] = max(self._sup_seen[0], sup_norm(v))
             self._h_cache[n] = v
         return self._h_cache[n]
-
-    def sup_forcing_seen(self) -> float:
-        return self._sup_seen[0]
 
 
 def build_fundamental(sys: DifferenceSystem) -> Callable[[int], np.ndarray]:
@@ -101,10 +99,10 @@ def build_fundamental(sys: DifferenceSystem) -> Callable[[int], np.ndarray]:
 class DichotomyCertificate:
     """(alpha, K, P) plus the fundamental-matrix accessor Y (Y(0) = I).
 
-    Claims |G(m, l)| <= K e^{-alpha |m-l|} in the max-row-sum norm for the
-    Green function G built from P and Y.  That operator norm dominates the
-    entrywise supremum, so the certificate also bounds entries, and it is
-    the norm that feeds the solution bound sup|x| <= K (1+e^-a)/(1-e^-a).
+    Claims |G(m, l)| <= K e^{-alpha |m-l|} for all m, l, in the max-row-sum
+    norm, for the Green function G built from P and Y.  That operator norm
+    dominates the entrywise supremum, so the certificate also bounds entries,
+    and it feeds the solution bound sup|x| <= K (1+e^-a)/(1-e^-a).
     """
 
     alpha: float
@@ -124,9 +122,10 @@ class DichotomyCertificate:
 class GreenFunction:
     """Evaluator for G(m, l) = Y(m) P Y^-1(l) (m >= l), -Y(m)(I-P)Y^-1(l) (m < l).
 
-    For constant coefficients only contractive products are formed:
-    C^d P = (CP)^d for d > 0 and C^-d (I-P) = (C^-1(I-P))^d, both with
-    spectral radius below one, so long-range evaluations stay stable.
+    For constant coefficients only contractive products are formed, from the
+    dichotomy steps ``stable_step`` = CP and ``unstable_step`` = C^-1(I-P):
+    C^d P = (CP)^d P and C^-d (I-P) = (C^-1(I-P))^d, both with spectral
+    radius below one, so long-range evaluations stay stable.
     """
 
     def __init__(self, certificate: DichotomyCertificate):
@@ -136,9 +135,9 @@ class GreenFunction:
         c = certificate.constant_coefficient
         if c is not None:
             self._stable = {0: p.copy()}
-            self._stable_step = c @ p
-            self._unstable_step = np.linalg.solve(c, self._ident - p)
-            self._unstable = {1: self._unstable_step.copy()}
+            self.stable_step = c @ p
+            self.unstable_step = np.linalg.solve(c, self._ident - p)
+            self._unstable = {1: self.unstable_step.copy()}
         else:
             self._stable = None
         self._yinv_cache: dict[int, np.ndarray] = {}
@@ -149,12 +148,12 @@ class GreenFunction:
             if d >= 0:
                 top = max(self._stable)
                 for k in range(top, d):
-                    self._stable[k + 1] = self._stable_step @ self._stable[k]
+                    self._stable[k + 1] = self.stable_step @ self._stable[k]
                 return self._stable[d]
             d = -d
             top = max(self._unstable)
             for k in range(top, d):
-                self._unstable[k + 1] = self._unstable_step @ self._unstable[k]
+                self._unstable[k + 1] = self.unstable_step @ self._unstable[k]
             return -self._unstable[d]
 
         cert = self.certificate
@@ -167,12 +166,26 @@ class GreenFunction:
         return -(ym @ (self._ident - cert.projection) @ yinv)
 
 
+def _power_sup(m: np.ndarray, s: np.ndarray) -> float:
+    """sup_{d>=0} ||M^d S|| exactly: at the first d0 >= 1 with ||M^d0|| <= 1,
+    ||M^(d0+j) S|| <= ||M^j S||, so it is the maximum over d < d0."""
+    power, best = np.eye(m.shape[0]), 0.0
+    for _ in range(POWER_CAP):
+        best = max(best, mat_norm(power @ s))
+        power = m @ power
+        if mat_norm(power) <= 1.0:
+            return best
+    raise InvalidCertificateError(f"no dichotomy step power <= {POWER_CAP} has norm <= 1")
+
+
 def certify_constant(c, tols: Tolerances = DEFAULT) -> DichotomyCertificate:
     """Dichotomy certificate for a constant, hyperbolic coefficient matrix.
 
     P comes from the discrete spectral split; alpha is the spectral decay
-    rate scaled by a 0.9 safety factor; K is the sampled maximum of
-    |G(d)| e^{alpha |d|} over |d| <= 60 with 5 percent headroom.
+    rate scaled by a 0.9 safety factor.  With M = e^alpha CP and
+    M' = e^alpha C^-1 Q, K is the exact max(sup_{d>=0} ||M^d P||,
+    sup_{d>=1} ||M'^d||) = sup_d ||G(d, 0)|| e^{alpha |d|}, times
+    ``k_headroom`` for round-off; no factor e^{alpha d} is ever formed.
     """
     c = as_square_matrix(c, "C")
     det = np.linalg.det(c)
@@ -188,29 +201,14 @@ def certify_constant(c, tols: Tolerances = DEFAULT) -> DichotomyCertificate:
 
     split = spectral_split(c, "discrete", tols)
     alpha = tols.alpha_safety * float(min(abs(math.log(abs(lam))) for lam in evals))
-
-    powers: dict[int, np.ndarray] = {0: np.eye(c.shape[0])}
-    c_inv = np.linalg.solve(c, np.eye(c.shape[0]))
-
-    def fundamental(n: int) -> np.ndarray:
-        if n not in powers:
-            if n > 0:
-                top = max(k for k in powers if k >= 0)
-                for k in range(top, n):
-                    powers[k + 1] = c @ powers[k]
-            else:
-                bottom = min(powers)
-                for k in range(bottom - 1, n - 1, -1):
-                    powers[k] = c_inv @ powers[k + 1]
-        return powers[n]
-
-    probe = DichotomyCertificate(alpha, 1.0, split.stable_projection,
-                                 fundamental, c)
-    green = probe.green_function()
-    k_max = max(mat_norm(green(d, 0)) * math.exp(alpha * abs(d))
-                for d in range(-tols.k_sample_window, tols.k_sample_window + 1))
-    return DichotomyCertificate(alpha, tols.k_headroom * k_max,
-                                split.stable_projection, fundamental, c)
+    y = build_fundamental(DifferenceSystem.constant(c, lambda n: np.zeros(len(c))))
+    cert = DichotomyCertificate(alpha, math.inf, split.stable_projection, y, c)
+    green = cert.green_function()  # K is not read by the step operators
+    back = math.exp(alpha) * green.unstable_step
+    cert.K = tols.k_headroom * max(
+        _power_sup(math.exp(alpha) * green.stable_step, cert.projection),
+        _power_sup(back, back))
+    return cert
 
 
 @dataclass(frozen=True)
@@ -323,14 +321,17 @@ def solve_bounded(sys: DifferenceSystem, cert: DichotomyCertificate,
                   n0: int, n1: int, tol: float) -> np.ndarray:
     """The bounded solution x(n) = sum_k G(n, k+1) h(k) on [n0, n1].
 
-    The series is truncated at the radius from ``truncation_radius`` so the
-    discarded tail stays below tol; the result then satisfies the recursion
-    x(n+1) = C(n) x(n) + h(n) with residual below 3 tol.
+    Summed as x = s + u by two sweeps with the dichotomy steps, forward
+    s(k+1) = CP s(k) + P h(k) and backward u(k) = C^-1 Q (u(k+1) - h(k)),
+    from R = ``truncation_radius`` steps outside the window, so the discarded
+    tail stays below tol and the recursion residual below 3 tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if n0 > n1:
         raise ValueError("need n0 <= n1")
+    if cert.constant_coefficient is None:
+        raise InvalidCertificateError("solve_bounded needs a constant C certificate")
     green = cert.green_function()
 
     sup_h = max((sup_norm(sys.h(k)) for k in range(n0 - 1, n1 + 1)), default=0.0)
@@ -356,11 +357,15 @@ def solve_bounded(sys: DifferenceSystem, cert: DichotomyCertificate,
         )
 
     out = np.zeros((n1 - n0 + 1, sys.dimension), dtype=complex)
-    for i, n in enumerate(range(n0, n1 + 1)):
-        acc = np.zeros(sys.dimension, dtype=complex)
-        for k in range(n - 1 - radius, n - 1 + radius + 1):
-            acc = acc + green(n, k + 1) @ sys.h(k)
-        out[i] = acc
+    s = u = np.zeros(sys.dimension, dtype=complex)
+    for k in range(n0 - 1 - radius, n1):
+        s = green.stable_step @ s + cert.projection @ sys.h(k)
+        if k >= n0 - 1:
+            out[k + 1 - n0] = s
+    for k in range(n1 - 1 + radius, n0 - 1, -1):
+        u = green.unstable_step @ (u - sys.h(k))
+        if k <= n1:
+            out[k - n0] += u
     return out
 
 

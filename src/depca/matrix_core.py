@@ -244,11 +244,12 @@ class EigenConditionCheck:
     at_u: float
 
 
-def _phi1(z: complex) -> complex:
-    """(e^z - 1) / z, stable near z = 0."""
-    if abs(z) < 1e-5:
-        return 1.0 + z / 2.0 + z * z / 6.0 + z * z * z / 24.0
-    return (np.exp(z) - 1.0) / z
+def _phi1(z):
+    """(e^z - 1) / z, stable near z = 0; elementwise on arrays."""
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 1e-5
+    series = 1.0 + z / 2.0 + z * z / 6.0 + z * z * z / 24.0
+    return np.where(small, series, (np.exp(z) - 1.0) / np.where(small, 1.0, z))[()]
 
 
 def check_eigenvalue_condition(lambda_a: complex, lambda_b: complex,
@@ -265,7 +266,7 @@ def check_eigenvalue_condition(lambda_a: complex, lambda_b: complex,
     la = complex(lambda_a)
     lb = complex(lambda_b)
 
-    def phi(u: float) -> complex:
+    def phi(u):
         return 1.0 + lb * u * _phi1(-u * la)
 
     def dphi(u: float) -> complex:
@@ -277,7 +278,7 @@ def check_eigenvalue_condition(lambda_a: complex, lambda_b: complex,
         return 2.0 * (np.conj(phi(u)) * dphi(u)).real
 
     us = np.linspace(0.0, 1.0, grid)
-    mods = np.abs([phi(u) for u in us])
+    mods = np.abs(phi(us))
     i = int(np.argmin(mods))
 
     if 0 < i < grid - 1:

@@ -33,8 +33,7 @@ class Tolerances:
 
     # dichotomy certificates
     alpha_safety: float = 0.9           # certified alpha = 0.9 * spectral rate
-    k_headroom: float = 1.05            # certified K = 1.05 * sampled maximum
-    k_sample_window: int = 60           # |m - l| range sampled for K
+    k_headroom: float = 1.05            # certified K = 1.05 * exact sup (round-off)
 
     # trajectory verification
     central_diff_step: float = 1e-5

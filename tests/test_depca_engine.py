@@ -454,3 +454,22 @@ class TestImaginaryScalar:
         f = sig.TrigPolynomial.constant([1.0, 1.0])
         with pytest.raises(ValueError):
             imaginary_scalar_solve(1.0, f, 0.0, 5.0)
+
+
+class TestStiffHyperbolicA:
+    """B = 0 with |A| large: C = e^A is far from the unit circle, and the
+    certificate must not form e^{alpha d} for large d."""
+
+    @pytest.mark.parametrize("a", [-20.0, 15.0])
+    def test_matches_closed_form(self, a):
+        # x' = a x + cos t has the bounded solution Re(e^{it} / (i - a))
+        system = scalar_system(a, 0.0, sig.TrigPolynomial.cosine([1.0], 1.0))
+        traj = solve_bounded_depca(system, -2, 2, 1e-10)
+
+        def exact(t):
+            return (np.exp(1j * t) / (1j - a)).real
+
+        for n in range(-2, 3):
+            assert abs(traj.integer_samples[n][0] - exact(n)) <= 1e-9
+        ts = np.linspace(-2, 2, 161)
+        assert np.max(np.abs(traj.evaluate_grid(ts)[:, 0] - exact(ts))) <= 1e-9

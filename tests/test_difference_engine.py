@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from depca import difference_engine
 from depca.difference_engine import (
     DichotomyCertificate,
     DifferenceSystem,
+    GreenFunction,
     bi_shift_invariance_check,
     bound_check,
     build_fundamental,
@@ -15,7 +17,12 @@ from depca.difference_engine import (
     solve_bounded,
     verify_certificate,
 )
-from depca.errors import BoundaryEigenvalueError, SingularCoefficientError
+from depca.errors import (
+    BoundaryEigenvalueError,
+    InvalidCertificateError,
+    SingularCoefficientError,
+)
+from depca.matrix_core import mat_norm
 
 
 def const_h(v):
@@ -229,3 +236,62 @@ class TestBoundCheck:
         assert report.sup_solution == pytest.approx(1.0, abs=1e-9)
         assert report.certified_bound >= 1.5
         assert report.passed
+
+
+class TestExactDichotomyConstant:
+    """K is the supremum over every d, not over a sampled window."""
+
+    SLOW_JORDAN = np.array([[0.97, 1.0], [0.0, 0.97]])
+
+    def test_slow_jordan_supremum_beyond_any_short_window(self):
+        # ||C^d|| e^{alpha d} peaks at d = 327; direct powering to 3000
+        c = self.SLOW_JORDAN
+        cert = certify_constant(c)
+        power, direct = np.eye(2), 0.0
+        for d in range(3001):
+            direct = max(direct, mat_norm(power) * np.exp(cert.alpha * d))
+            power = c @ power
+        assert direct > 124.0
+        assert cert.K >= direct
+
+    def test_slow_jordan_green_decay_for_every_d(self):
+        cert = certify_constant(self.SLOW_JORDAN)
+        green = cert.green_function()
+        for d in range(-3000, 3001):
+            bound = cert.K * np.exp(-cert.alpha * abs(d))
+            assert mat_norm(green(d, 0)) <= bound
+
+    def test_power_cap_raises_typed(self, monkeypatch):
+        # the slow Jordan block first reaches ||(e^alpha C)^d|| <= 1 at d = 2591
+        monkeypatch.setattr(difference_engine, "POWER_CAP", 2590)
+        with pytest.raises(InvalidCertificateError):
+            certify_constant(self.SLOW_JORDAN)
+        monkeypatch.setattr(difference_engine, "POWER_CAP", 2591)
+        assert certify_constant(self.SLOW_JORDAN).K > 124.0
+
+    def test_two_sweeps_make_no_green_function_calls(self, monkeypatch):
+        # h(n) = v e^{0.9 i n} has the bounded solution (e^{0.9i} I - C)^-1 h(n)
+        calls = []
+        original = GreenFunction.__call__
+
+        def counting(self, m, l):
+            calls.append((m, l))
+            return original(self, m, l)
+
+        monkeypatch.setattr(GreenFunction, "__call__", counting)
+        c = mixed_3x3()
+        v = np.array([1.0, -0.5, 2.0])
+        sys = DifferenceSystem.constant(c, lambda n: v * np.exp(0.9j * n))
+        xs = solve_bounded(sys, certify_constant(c), -200, 200, 1e-10)
+        w = np.linalg.solve(np.exp(0.9j) * np.eye(3) - c, v)
+        expected = np.array([w * np.exp(0.9j * n) for n in range(-200, 201)])
+        assert np.max(np.abs(xs - expected)) <= 1e-9
+        assert calls == []
+
+    def test_non_constant_certificate_rejected(self):
+        mats = [np.array([[0.5]]), np.array([[0.25]])]
+        sys = DifferenceSystem.periodic(mats, const_h([1.0]))
+        cert = DichotomyCertificate(0.5 * np.log(8.0), 2.1, np.array([[1.0]]),
+                                    build_fundamental(sys))
+        with pytest.raises(InvalidCertificateError):
+            solve_bounded(sys, cert, -5, 5, 1e-10)

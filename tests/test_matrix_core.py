@@ -1,5 +1,6 @@
 """Tests for the dense linear algebra kernel."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -13,6 +14,7 @@ from depca.errors import (
     UserTInvalidError,
 )
 from depca.matrix_core import (
+    _phi1,
     check_eigenvalue_condition,
     eigenvalues,
     expm,
@@ -271,3 +273,27 @@ class TestSimultaneousTriangularize:
         b = np.eye(2)
         with pytest.raises(UserTInvalidError):
             simultaneous_triangularize(a, b, user_t=np.eye(2))
+
+
+class TestEigenConditionSeriesBranch:
+    def test_violation_located_through_the_phi1_series(self):
+        # |u lambda_A| < 1e-5 on all of [0, 1], so every value of
+        # 1 + lambda_B u phi1(-u lambda_A) comes from the series branch;
+        # expm1 keeps lambda_B accurate where 1 - e^{-u lambda_A} cancels
+        la, u_star = 1e-7, 0.7
+        lb = la / np.expm1(-u_star * la)
+        check = check_eigenvalue_condition(la, lb)
+        assert not check.passed
+        assert check.u_star == pytest.approx(u_star, abs=1e-10)
+
+    def test_phi1_on_arrays_matches_mpmath(self):
+        # both branches in one array: |z| < 1e-5 takes the series; beyond
+        # it (e^z - 1)/z loses about eps/|z| to cancellation
+        zs = np.array([0.0, 3e-6 - 2e-6j, -9e-6, 2e-5, 0.7 - 1.3j, -20.0, 5.0j])
+        got = _phi1(zs)
+        for z, value in zip(zs, got):
+            zm = mp.mpc(z.real, z.imag)
+            ref = complex(mp.expm1(zm) / zm) if z != 0 else 1.0
+            loss = 1.0 if abs(z) < 1e-5 else max(1.0, 1.0 / abs(z))
+            assert abs(value - ref) <= 4e-16 * loss * abs(ref)
+            assert _phi1(complex(z)) == value
