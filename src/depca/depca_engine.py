@@ -13,19 +13,19 @@ then segment evaluation, which only reads immutable phase-one data.
 
 from __future__ import annotations
 
+import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import signals as sig
 from .difference_engine import (
     DichotomyCertificate,
     DifferenceSystem,
     certify_constant,
+    power_sup,
     recursion_residual,
     solve_bounded,
 )
@@ -52,8 +52,7 @@ from .matrix_core import (
 )
 from .tolerances import DEFAULT, Tolerances
 
-_GL_NODES, _GL_WEIGHTS = leggauss(10)
-_GL16_NODES, _GL16_WEIGHTS = leggauss(16)
+_GL_NODES, _GL_WEIGHTS = sig.GL_NODES, sig.GL_WEIGHTS
 
 
 def _u_key(u: float) -> float:
@@ -124,16 +123,6 @@ def propagator(system: DepcaSystem, t: float, tau: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # adaptive Gauss-Legendre quadrature for vector integrands
-
-
-def _gl(fn, a: float, b: float, nodes=_GL_NODES, weights=_GL_WEIGHTS) -> np.ndarray:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    acc = None
-    for x, w in zip(nodes, weights):
-        v = w * fn(mid + half * x)
-        acc = v if acc is None else acc + v
-    return half * acc
 
 
 def adaptive_gl(panel: Callable[[float, float], np.ndarray], a: float, b: float,
@@ -541,53 +530,94 @@ def solve_bounded_depca(system: DepcaSystem, n0: int, n1: int, tol: float,
 
 
 # ---------------------------------------------------------------------------
-# the B = 0 path: hyperbolic A, bounded solution by split improper integrals
+# the B = 0 path: hyperbolic A, Massera's formula with Schur-projected kernels
+
+
+@dataclass
+class _HalfLine:
+    """One side of Massera's formula,
+    L integral_0^radius e^{M sigma} R f(t - d sigma) d sigma.
+
+    From the ordered Schur form A = U [[T11, T12], [0, T22]] U*, U = [U1 U2],
+    with T11 X - X T22 = T12: the stable side has M = T11, L = U1,
+    R = [I X] U*, d = 1; the unstable side has M = -T22, L = U1 X - U2,
+    R = U2*, d = -1.  Both M are stable, so every exponential formed decays.
+    """
+
+    name: str
+    kernel: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    direction: float
+    budget: float
+
+    def __post_init__(self):
+        # bounded caches, least recently used out: the keys of whole cells
+        # recur in every call, only those of shorter cells can be new
+        self._exp = functools.lru_cache(maxsize=256)(self._exp)
+        self._stack = functools.lru_cache(maxsize=64)(self._stack)
+
+    def _exp(self, tau: float) -> np.ndarray:
+        """e^{M tau} at a rounded tau."""
+        return expm(self.kernel, tau)
+
+    def _stack(self, width: float) -> np.ndarray:
+        """half w_k e^{M half (1 + x_k)} for the 10 nodes of a panel of this
+        rounded width, half = width / 2."""
+        half = 0.5 * width
+        return np.stack([half * w * self._exp(_u_key(half * (1.0 + x)))
+                         for x, w in zip(_GL_NODES, _GL_WEIGHTS)])
+
+    def integral(self, forcing: sig.Signal, t: float, radius: float) -> np.ndarray:
+        d = self.direction
+        # cells in sigma end where t - d sigma is an integer or a breakpoint;
+        # the far end moves out to the next integer, so the last cell is whole
+        far = d * math.floor(d * (t - d * radius))
+        a, b = sorted((t, far))
+        jumps = [*range(math.ceil(a), math.floor(b) + 1), *forcing.breakpoints_in(a, b)]
+        cuts = sorted({0.0, *(d * (t - s) for s in jumps if d * (t - s) > 0.0)})
+        budget = self.budget / (len(cuts) - 1)
+        inner = 0.0
+        start = self._exp(0.0)  # e^{M c0} at the start c0 of the current cell
+        for c0, c1 in zip(cuts[:-1], cuts[1:]):
+            def panel(lo: float, hi: float, c0=c0, start=start) -> np.ndarray:
+                # e^{M sigma_k} = e^{M c0} e^{M (lo - c0)} e^{M (sigma_k - lo)}
+                sigmas = lo + 0.5 * (hi - lo) * (1.0 + _GL_NODES)
+                values = forcing.evaluate_grid(t - d * sigmas) @ self.right.T
+                return start @ self._exp(_u_key(lo - c0)) @ np.einsum(
+                    "kij,kj->i", self._stack(_u_key(hi - lo)), values)
+
+            inner = inner + adaptive_gl(panel, c0, c1, budget)
+            start = start @ self._exp(_u_key(c1 - c0))
+        return self.left @ inner
 
 
 @dataclass
 class MasseraSolution:
     """Bounded solution of x' = A x + f for hyperbolic A.
 
-    Evaluates the two one-sided improper integrals (stable past, unstable
-    future) truncated at ``radius``, by composite Gauss-Legendre split at
-    integer and signal breakpoints.
+    x(t) = integral_0^inf e^{A s} P f(t - s) ds
+           - integral_0^inf e^{-A s} Q f(t + s) ds,
+    each side truncated at ``radius`` and integrated by adaptive
+    Gauss-Legendre panels split at the integers and at the signal's
+    breakpoints, with kernels from the ordered Schur form of A.
     """
 
     a: np.ndarray
     forcing: sig.Signal
     split: object
     radius: float
-    _kernel: Callable[[float], np.ndarray]
     dimension: int
+    _sides: tuple[_HalfLine, ...]
 
     def evaluate(self, t: float) -> np.ndarray:
-        p_proj = self.split.stable_projection
-        q_proj = self.split.unstable_projection
         total = np.zeros(self.dimension, dtype=complex)
-
-        def cells(lo: float, hi: float) -> list[float]:
-            cuts = {lo, hi}
-            cuts.update(n for n in range(math.ceil(lo), math.floor(hi) + 1)
-                        if lo < n < hi)
-            cuts.update(self.forcing.breakpoints_in(lo, hi))
-            return sorted(cuts)
-
-        if mat_norm(p_proj) > 1e-14:
-            def stable_integrand(s: float) -> np.ndarray:
-                return self._kernel(t - s) @ (p_proj @ self.forcing.evaluate(s))
-
-            bounds = cells(t - self.radius, t)
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                total = total + _gl(stable_integrand, lo, hi,
-                                    _GL16_NODES, _GL16_WEIGHTS)
-        if mat_norm(q_proj) > 1e-14:
-            def unstable_integrand(s: float) -> np.ndarray:
-                return self._kernel(t - s) @ (q_proj @ self.forcing.evaluate(s))
-
-            bounds = cells(t, t + self.radius)
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                total = total - _gl(unstable_integrand, lo, hi,
-                                    _GL16_NODES, _GL16_WEIGHTS)
+        for side in self._sides:
+            try:
+                total = total + side.integral(self.forcing, t, self.radius)
+            except QuadratureError as exc:
+                raise QuadratureError(
+                    f"{side.name} Massera integral at t = {t}: {exc}") from exc
         return total
 
     def evaluate_grid(self, ts) -> np.ndarray:
@@ -612,19 +642,23 @@ def massera_solve(a, forcing: sig.Signal, tol: float,
     """Bounded solution of x' = A x + f when spec(A) avoids the imaginary axis.
 
     The truncation radius follows the tail bound of the projected semigroup
-    norms: R = ln(max(K_P, K_Q) sup|f| / (tol decay)) / decay.
+    norms: R = ln(max(K_P, K_Q) sup|f| / (tol decay)) / decay, with K_P and
+    K_Q taken over sigma = 0, 0.5, 1, ...  Each side gets half of ``tol``
+    for its quadrature.
     """
     a = as_square_matrix(a, "A")
     split = spectral_split(a, "continuous", tols)
     p = a.shape[0]
-
-    if p == 1:
-        scalar = complex(a[0, 0])
-        def kernel(u: float) -> np.ndarray:
-            return np.array([[np.exp(scalar * u)]])
-    else:
-        def kernel(u: float) -> np.ndarray:
-            return expm(a, u)
+    k = len(split.stable_eigenvalues)
+    tri, x = split.schur_form, split.coupling
+    u1, u2 = split.schur_basis[:, :k], split.schur_basis[:, k:]
+    sides = []
+    if k > 0:
+        sides.append(("stable", tri[:k, :k], u1, u1.conj().T + x @ u2.conj().T, 1.0))
+    if k < p:
+        sides.append(("unstable", -tri[k:, k:], u1 @ x - u2, u2.conj().T, -1.0))
+    sides = tuple(_HalfLine(name, m, left, right, d, 0.5 * tol / mat_norm(left))
+                  for name, m, left, right, d in sides)
 
     decay = tols.alpha_safety * min(split.decay_rate_stable,
                                     split.decay_rate_unstable)
@@ -632,62 +666,18 @@ def massera_solve(a, forcing: sig.Signal, tol: float,
     if sup_f <= 0.0:
         radius = 1.0
     else:
-        sigma = np.arange(0.0, 40.0 / max(decay, 0.5), 0.5)
-        k_p = k_q = 0.0
-        if mat_norm(split.stable_projection) > 1e-14:
-            k_p = max(mat_norm(kernel(s) @ split.stable_projection)
-                      * math.exp(decay * s) for s in sigma)
-        if mat_norm(split.unstable_projection) > 1e-14:
-            k_q = max(mat_norm(kernel(-s) @ split.unstable_projection)
-                      * math.exp(decay * s) for s in sigma)
-        k_big = 1.1 * max(k_p, k_q, 1.0)
-        radius = max(1.0, math.log(k_big * sup_f / (tol * decay)) / decay)
+        # K = max over the sides of sup_j ||L e^{M j/2} R|| e^{decay j/2},
+        # the powers of N = e^{decay/2} L e^{M/2} R times L R, as R L = +-I
+        k_big = max(power_sup(math.exp(0.5 * decay) * side.left
+                              @ side._exp(0.5) @ side.right,
+                              side.left @ side.right) for side in sides)
+        radius = max(1.0, math.log(1.1 * k_big * sup_f / (tol * decay)) / decay)
 
-    return MasseraSolution(a, forcing, split, radius, kernel, p)
+    return MasseraSolution(a, forcing, split, radius, p, sides)
 
 
 # ---------------------------------------------------------------------------
 # the purely rotational scalar path
-
-
-class _CumulativePrimitive:
-    """F(t) = integral_0^t g, by composite Gauss-Legendre on fixed cells."""
-
-    def __init__(self, g: sig.Signal, window: float, max_cell: float = 0.5):
-        self.g = g
-        cuts = {0.0, window, -window}
-        cuts.update(float(n) for n in range(-math.ceil(window), math.ceil(window) + 1))
-        cuts.update(g.breakpoints_in(-window, window))
-        base = sorted(c for c in cuts if -window <= c <= window)
-        nodes: list[float] = []
-        for lo, hi in zip(base[:-1], base[1:]):
-            m = max(1, math.ceil((hi - lo) / max_cell))
-            nodes.extend(lo + (hi - lo) * j / m for j in range(m))
-        nodes.append(window)
-        self.nodes = np.array(sorted(set(nodes)))
-        i0 = int(np.searchsorted(self.nodes, 0.0))
-        values = [np.zeros(g.dimension, dtype=complex)]
-        for lo, hi in zip(self.nodes[i0:-1], self.nodes[i0 + 1:]):
-            values.append(values[-1] + _gl(g.evaluate, lo, hi,
-                                           _GL16_NODES, _GL16_WEIGHTS))
-        forward = values
-        values = [np.zeros(g.dimension, dtype=complex)]
-        for hi, lo in zip(self.nodes[i0::-1], self.nodes[i0 - 1::-1]):
-            values.append(values[-1] - _gl(g.evaluate, lo, hi,
-                                           _GL16_NODES, _GL16_WEIGHTS))
-        backward = values[1:][::-1]
-        self.f_nodes = np.array(backward + forward)
-
-    def __call__(self, t: float) -> np.ndarray:
-        i = bisect_right(self.nodes, t) - 1
-        i = min(max(i, 0), len(self.nodes) - 1)
-        base = self.f_nodes[i]
-        lo = float(self.nodes[i])
-        if t > lo:
-            base = base + _gl(self.g.evaluate, lo, t, _GL16_NODES, _GL16_WEIGHTS)
-        elif t < lo:
-            base = base - _gl(self.g.evaluate, t, lo, _GL16_NODES, _GL16_WEIGHTS)
-        return base
 
 
 def imaginary_scalar_solve(theta: float, forcing: sig.Signal, x0: complex,
@@ -696,18 +686,20 @@ def imaginary_scalar_solve(theta: float, forcing: sig.Signal, x0: complex,
                                       sig.PrimitiveBoundednessReport]:
     """Scalar x' = i theta x + f by the rotation formula.
 
-    x(t) = e^{i theta t} (x0 + integral_0^t e^{-i theta s} f(s) ds), with the
-    cumulative integral evaluated by composite quadrature.  Boundedness of
-    the trajectory reduces to boundedness of the demodulated primitive,
-    which is screened on the requested window.
+    x(t) = e^{i theta t} (x0 + F(t)) with F(t) = integral_0^t e^{-i theta s}
+    f(s) ds, read from one ``signals.PrimitiveTable`` over
+    [-(window + 1), window + 1]; the evaluator raises ValueError outside that
+    span.  Boundedness of the trajectory reduces to boundedness of F, which
+    ``signals.screen_primitive`` screens on [-window, window] from the same
+    table.
     """
     if forcing.dimension != 1:
         raise ValueError("the rotational path is scalar (dimension 1)")
     if window <= 0:
         raise ValueError("window must be positive")
-    demodulated = sig.modulate(forcing, -theta)
-    report = sig.integral_primitive_bounded(demodulated, window, grid_step)
-    primitive = _CumulativePrimitive(demodulated, window + 1.0)
+    primitive = sig.PrimitiveTable.build(sig.modulate(forcing, -theta),
+                                         window + 1.0, grid_step)
+    report = sig.screen_primitive(primitive, window)
 
     def evaluate(t: float) -> np.ndarray:
         return np.exp(1j * theta * t) * (x0 + primitive(t))

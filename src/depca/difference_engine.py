@@ -166,7 +166,7 @@ class GreenFunction:
         return -(ym @ (self._ident - cert.projection) @ yinv)
 
 
-def _power_sup(m: np.ndarray, s: np.ndarray) -> float:
+def power_sup(m: np.ndarray, s: np.ndarray) -> float:
     """sup_{d>=0} ||M^d S|| exactly: at the first d0 >= 1 with ||M^d0|| <= 1,
     ||M^(d0+j) S|| <= ||M^j S||, so it is the maximum over d < d0."""
     power, best = np.eye(m.shape[0]), 0.0
@@ -206,8 +206,8 @@ def certify_constant(c, tols: Tolerances = DEFAULT) -> DichotomyCertificate:
     green = cert.green_function()  # K is not read by the step operators
     back = math.exp(alpha) * green.unstable_step
     cert.K = tols.k_headroom * max(
-        _power_sup(math.exp(alpha) * green.stable_step, cert.projection),
-        _power_sup(back, back))
+        power_sup(math.exp(alpha) * green.stable_step, cert.projection),
+        power_sup(back, back))
     return cert
 
 

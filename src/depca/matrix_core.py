@@ -143,6 +143,10 @@ class SpectralSplit:
     ``stable_projection`` projects onto the stable invariant subspace along
     the unstable one (a genuine spectral projector, not an orthogonal one),
     so it commutes with the split matrix and P + Q = I.
+
+    It is built from the ordered Schur form M = U [[T11, T12], [0, T22]] U*,
+    with T11 of size k = len(stable_eigenvalues): P = U [[I, X], [0, 0]] U*,
+    where ``coupling`` X solves T11 X - X T22 = T12.
     """
 
     stable_projection: np.ndarray
@@ -152,6 +156,9 @@ class SpectralSplit:
     decay_rate_stable: float
     decay_rate_unstable: float
     mode: str
+    schur_form: np.ndarray
+    schur_basis: np.ndarray
+    coupling: np.ndarray
 
 
 def _boundary_distance(lam: complex, mode: str) -> float:
@@ -187,6 +194,7 @@ def spectral_split(m, mode: str, tols: Tolerances = DEFAULT) -> SpectralSplit:
     t, u, sdim = sla.schur(m.astype(complex), output="complex",
                            sort=lambda lam: _is_stable(lam, mode))
     k = int(sdim)
+    x = np.zeros((k, p - k), dtype=complex)
     if k == 0:
         proj = np.zeros((p, p))
     elif k == p:
@@ -222,6 +230,9 @@ def spectral_split(m, mode: str, tols: Tolerances = DEFAULT) -> SpectralSplit:
         decay_rate_stable=rate(stable),
         decay_rate_unstable=rate(unstable),
         mode=mode,
+        schur_form=t,
+        schur_basis=u,
+        coupling=x,
     )
 
 

@@ -4,8 +4,13 @@ The catalog covers trigonometric polynomials (almost periodic), integer-step
 signals lifted from sequences (discontinuous on the integers), exactly
 rational-periodic signals, a standard almost-automorphic-but-not-almost-
 periodic test family, sums, compositions with a fixed set of continuous
-outer maps, and evaluator-backed signals (the fallback of ``linear_map``
-and of the primitive screen).  Signals are immutable; evaluation is pure.
+outer maps, and evaluator-backed signals (the fallback of ``linear_map``).
+Signals are immutable; evaluation is pure.
+
+The module also holds the library's one quadrature rule, the 10-point
+Gauss-Legendre panel, and the running primitive F(t) = integral_0^t f
+tabulated with it, which the boundedness screen and the rotational solver
+both read.
 """
 
 from __future__ import annotations
@@ -16,8 +21,14 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
+
+from .tolerances import DEFAULT
 
 _SQRT2 = math.sqrt(2.0)
+
+# nodes on [-1, 1] and weights of the 10-point Gauss-Legendre panel
+GL_NODES, GL_WEIGHTS = leggauss(10)
 
 
 def _as_coef(v, dimension: int | None = None) -> np.ndarray:
@@ -597,7 +608,64 @@ def sample_on_integers(f: Signal, n0: int, n1: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# boundedness screen for the running primitive
+# the running primitive and its boundedness screen
+
+
+def _gl_panels(f: Signal, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre estimates of integral_lo^hi f for each panel (lo, hi),
+    shape (panels, p), from one ``evaluate_grid`` call."""
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * GL_NODES
+    values = f.evaluate_grid(nodes.ravel()).reshape(len(lo), len(GL_NODES),
+                                                    f.dimension)
+    return half[:, None] * np.einsum("k,nkp->np", GL_WEIGHTS, values)
+
+
+@dataclass(frozen=True)
+class PrimitiveTable:
+    """F(t) = integral_0^t f on [-span, span], tabulated at panel ends.
+
+    The panels are no wider than ``grid_step`` and split at the integers and
+    at the signal's breakpoints, so no node sits on a jump.  Between two
+    table nodes F is completed by one more panel.
+    """
+
+    signal: Signal
+    span: float
+    grid_step: float
+    nodes: np.ndarray            # sorted, containing -span, 0 and span
+    values: np.ndarray           # F at ``nodes``, shape (len(nodes), p)
+
+    @staticmethod
+    def build(f: Signal, span: float, grid_step: float) -> "PrimitiveTable":
+        if span <= 0 or grid_step <= 0:
+            raise ValueError("window and grid_step must be positive")
+        cuts = {-span, 0.0, span}
+        cuts.update(float(n) for n in range(math.ceil(-span), math.floor(span) + 1))
+        cuts.update(f.breakpoints_in(-span, span))
+        base = sorted(cuts)
+        edges = [np.linspace(lo, hi, max(1, math.ceil((hi - lo) / grid_step)) + 1)
+                 for lo, hi in zip(base[:-1], base[1:])]
+        # one evaluate_grid call per cell: a single call over the whole span
+        # makes arrays large enough for BLAS to wake its worker threads, which
+        # then slow the small-matrix work that follows
+        panels = np.concatenate([_gl_panels(f, e[:-1], e[1:]) for e in edges])
+        nodes = np.concatenate([e[:-1] for e in edges] + [[span]])
+        # F accumulates outwards from the node at 0
+        i0 = int(np.searchsorted(nodes, 0.0))
+        values = np.concatenate([
+            -np.cumsum(panels[:i0][::-1], axis=0)[::-1],
+            np.zeros((1, f.dimension), dtype=complex),
+            np.cumsum(panels[i0:], axis=0)])
+        return PrimitiveTable(f, float(span), float(grid_step), nodes, values)
+
+    def __call__(self, t: float) -> np.ndarray:
+        if abs(t) > self.span + 1e-9:
+            raise ValueError(f"t = {t} outside the tabulated span "
+                             f"[{-self.span}, {self.span}]")
+        i = max(int(np.searchsorted(self.nodes, t, side="right")) - 1, 0)
+        lo = self.nodes[i:i + 1]
+        return self.values[i] + _gl_panels(self.signal, lo, np.array([t]))[0]
 
 
 @dataclass(frozen=True)
@@ -614,51 +682,17 @@ class PrimitiveBoundednessReport:
         return self.verdict == "bounded-on-window"
 
 
-def _simpson_cells(f: Signal, a: float, b: float, grid_step: float):
-    """Cumulative Simpson from a to b; yields (t, F(t)) at even nodes."""
-    if b <= a:
-        return [], []
-    cuts = {a, b}
-    cuts.update(n for n in range(math.ceil(a), math.floor(b) + 1) if a < n < b)
-    cuts.update(x for x in f.breakpoints_in(a, b))
-    bounds = sorted(cuts)
-    acc = np.zeros(f.dimension, dtype=complex)
-    ts: list[float] = []
-    fs: list[np.ndarray] = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        m = max(2, 2 * math.ceil((hi - lo) / (2.0 * grid_step)))
-        nodes = np.linspace(lo, hi, m + 1)
-        # signals are right-continuous at cuts: keep samples inside the cell
-        tiny = 1e-12 * max(1.0, abs(lo), abs(hi))
-        vals = f.evaluate_grid(np.clip(nodes, None, hi - tiny))
-        h = (hi - lo) / m
-        for k in range(0, m, 2):
-            acc = acc + (h / 3.0) * (vals[k] + 4.0 * vals[k + 1] + vals[k + 2])
-            ts.append(float(nodes[k + 2]))
-            fs.append(acc.copy())
-    return ts, fs
+def screen_primitive(table: PrimitiveTable, window: float
+                     ) -> PrimitiveBoundednessReport:
+    """Screen whether the tabulated F stays bounded on [-window, window].
 
-
-def integral_primitive_bounded(f: Signal, window: float, grid_step: float
-                               ) -> PrimitiveBoundednessReport:
-    """Screen whether F(t) = integral_0^t f stays bounded on [-window, window].
-
-    F is accumulated by composite Simpson split at integers and signal
-    breakpoints.  The verdict compares max |F| over dyadic sub-windows:
-    ratios persistently at 1.8 or above indicate at least linear growth and
-    yield 'unbounded-suspected'.
+    The verdict compares max |F| over dyadic sub-windows: ratios
+    persistently at ``growth_ratio`` or above indicate at least linear
+    growth and yield 'unbounded-suspected'.
     """
-    if window <= 0 or grid_step <= 0:
-        raise ValueError("window and grid_step must be positive")
-    ts_pos, fs_pos = _simpson_cells(f, 0.0, window, grid_step)
-    # mirror: F(-t) accumulates f(-s) with a sign flip
-    mirrored = CallableSignal(lambda t: f.evaluate(-t), f.dimension,
-                              lambda a, b: sorted(-x for x in f.breakpoints_in(-b, -a)))
-    ts_neg, fs_neg = _simpson_cells(mirrored, 0.0, window, grid_step)
-
-    ts = np.array([0.0] + ts_pos + [-t for t in ts_neg])
-    mags = np.array([0.0] + [float(np.max(np.abs(v))) for v in fs_pos]
-                    + [float(np.max(np.abs(v))) for v in fs_neg])
+    inside = np.abs(table.nodes) <= window + 1e-12
+    ts = table.nodes[inside]
+    mags = np.max(np.abs(table.values[inside]), axis=1)
 
     levels = 4 if window >= 8 else max(2, int(math.log2(max(window, 2.0))))
     maxima = []
@@ -670,12 +704,19 @@ def integral_primitive_bounded(f: Signal, window: float, grid_step: float
     for small, large in zip(maxima[:-1], maxima[1:]):
         ratios.append(large / small if small > 1e-300 else 1.0)
 
-    suspect = bool(ratios) and min(ratios) >= 1.8
+    suspect = bool(ratios) and min(ratios) >= DEFAULT.growth_ratio
     return PrimitiveBoundednessReport(
         verdict="unbounded-suspected" if suspect else "bounded-on-window",
         sup_estimate=float(np.max(mags)),
         window=float(window),
-        grid_step=float(grid_step),
+        grid_step=table.grid_step,
         dyadic_maxima=tuple(maxima),
         ratios=tuple(ratios),
     )
+
+
+def integral_primitive_bounded(f: Signal, window: float, grid_step: float
+                               ) -> PrimitiveBoundednessReport:
+    """Screen whether F(t) = integral_0^t f stays bounded on [-window, window],
+    from the ``PrimitiveTable`` of f over that window."""
+    return screen_primitive(PrimitiveTable.build(f, window, grid_step), window)

@@ -24,6 +24,7 @@ from depca.depca_engine import (
 from depca.errors import (
     BoundaryEigenvalueError,
     NoDichotomyError,
+    QuadratureError,
     SingularCError,
 )
 
@@ -429,6 +430,78 @@ class TestMassera:
         assert worst <= allowed
 
 
+class TestMasseraSchurKernels:
+    """Non-normal and stiff hyperbolic A against independent references."""
+
+    @pytest.mark.parametrize("a,tol", [
+        ([[-3.0, 40.0], [0.0, 3.0]], 1e-6),
+        ([[-1.0, 0.3], [0.0, 0.5]], 1e-9),
+        ([[-60.0]], 1e-9),
+    ])
+    def test_trig_forcing_matches_resolvent(self, a, tol):
+        # x' = A x + v cos t has the bounded solution Re((iI - A)^-1 v e^{it})
+        a = np.array(a)
+        v = np.ones(len(a))
+        sol = massera_solve(a, sig.TrigPolynomial.cosine(v, 1.0), tol)
+        resolvent_v = np.linalg.solve(1j * np.eye(len(a)) - a, v)
+        for t in np.linspace(-2, 2, 41):
+            exact = (resolvent_v * np.exp(1j * t)).real
+            assert sup_err(sol.evaluate(t), exact) <= tol
+
+    def test_aa_forcing_mixed_spectrum_matches_mpmath(self):
+        # A = [[a, c], [0, d]] has eigenvectors e1 (a < 0) and (c/(d-a), 1)
+        # (d > 0); f = amp g splits along them as alpha g e1 + beta g v2, so
+        # x(t) = alpha e1 int_0^inf e^{a s} g(t-s) ds
+        #        - beta v2 int_0^inf e^{-d s} g(t+s) ds,
+        # cut at s = 40, where both tails are below 1e-30
+        a, c, d = -3.0, -0.364, 2.0
+        amp = [0.92, 0.88]
+        sol = massera_solve(np.array([[a, c], [0.0, d]]),
+                            sig.AATest.from_amplitude(amp), 1e-6)
+        with mp.workdps(30):
+            ma, mc, md = mp.mpf(a), mp.mpf(c), mp.mpf(d)
+            alpha = mp.mpf(amp[0]) - mc * mp.mpf(amp[1]) / (md - ma)
+            beta = mp.mpf(amp[1])
+            cells = list(range(0, 41))
+            for t in (-0.948, 0.638):
+                mt = mp.mpf(t)
+                past = mp.quad(lambda s: mp.exp(ma * s) * aa_value(mt - s), cells)
+                future = mp.quad(lambda s: mp.exp(-md * s) * aa_value(mt + s), cells)
+                exact = [alpha * past - beta * future * mc / (md - ma),
+                         -beta * future]
+                assert sup_err(sol.evaluate(t), [float(x) for x in exact]) <= 1e-6
+
+    def test_exponentials_per_panel_not_per_node(self, monkeypatch):
+        calls = []
+        expm = depca_engine.expm
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return expm(*args, **kwargs)
+
+        monkeypatch.setattr(depca_engine, "expm", counting)
+        sol = massera_solve(np.array([[-3.0, -0.36404169238128337], [0.0, 2.0]]),
+                            sig.AATest.from_amplitude([0.9210016440976609,
+                                                       0.8817968263337055]), 1e-6)
+        for t in (-0.948, 0.638, -0.647):
+            sol.evaluate(t)
+        assert len(calls) < 1000
+
+    @pytest.mark.parametrize("a,side", [(-1.0, "stable"), (1.0, "unstable")])
+    def test_quadrature_error_names_t_and_side(self, a, side):
+        # an undeclared jump at n + 0.3 never lands on a bisection point
+        f = sig.RationalPeriodic.from_callable(
+            1, 1, lambda tau: [1.0 if tau >= 0.3 else 0.0], 1)
+        sol = massera_solve(np.array([[a]]), f, 1e-9)
+        with pytest.raises(QuadratureError,
+                           match=rf"^{side} Massera integral at t = 0\.25: "):
+            sol.evaluate(0.25)
+
+
+def sup_err(got, exact) -> float:
+    return float(np.max(np.abs(np.asarray(got) - np.asarray(exact))))
+
+
 class TestImaginaryScalar:
     def test_pure_rotation(self):
         f0 = sig.TrigPolynomial.constant([0.0])
@@ -473,3 +546,25 @@ class TestStiffHyperbolicA:
             assert abs(traj.integer_samples[n][0] - exact(n)) <= 1e-9
         ts = np.linspace(-2, 2, 161)
         assert np.max(np.abs(traj.evaluate_grid(ts)[:, 0] - exact(ts))) <= 1e-9
+
+
+class TestRotationSpan:
+    """x' = i x + e^{2it} with x(0) = x0 is e^{it} (x0 + (e^{it} - 1)/i); the
+    evaluator covers [-(window + 1), window + 1] and refuses beyond it."""
+
+    @staticmethod
+    def exact(t, x0):
+        return np.exp(1j * t) * (x0 + (np.exp(1j * t) - 1.0) / 1j)
+
+    def test_matches_closed_form_up_to_the_edge(self):
+        ev, _ = imaginary_scalar_solve(1.0, sig.TrigPolynomial.exponential([1.0], 2.0),
+                                       0.5, 10.0)
+        for t in (-11.0, -10.37, 10.999, 11.0):
+            assert abs(ev(t)[0] - self.exact(t, 0.5)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [11.01, -30.0, 60.0])
+    def test_beyond_the_edge_raises(self, t):
+        ev, _ = imaginary_scalar_solve(1.0, sig.TrigPolynomial.exponential([1.0], 2.0),
+                                       0.5, 10.0)
+        with pytest.raises(ValueError, match=rf"t = {t}.*\[-11\.0, 11\.0\]"):
+            ev(t)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depca import signals as sig
+from depca.tolerances import Tolerances
 
 
 class TestEvaluate:
@@ -242,3 +243,35 @@ class TestIntegralPrimitive:
         with pytest.raises(ValueError):
             sig.integral_primitive_bounded(sig.TrigPolynomial.constant([1.0]),
                                            -1.0, 0.01)
+
+
+class TestPrimitiveTable:
+    """One table of 10-point panels serves the screen and the rotational
+    solver: F(t) = integral_0^t cos(1.3 s) ds = sin(1.3 t) / 1.3."""
+
+    F = sig.TrigPolynomial.cosine([1.0], 1.3)
+
+    def test_nodes_match_closed_form(self):
+        table = sig.PrimitiveTable.build(self.F, 20.0, 0.01)
+        assert np.max(np.diff(table.nodes)) <= 0.01 + 1e-12
+        assert {-20.0, 0.0, 20.0} <= set(table.nodes)
+        np.testing.assert_allclose(table.values[:, 0], np.sin(1.3 * table.nodes) / 1.3,
+                                   rtol=0, atol=1e-13)
+
+    def test_between_nodes_matches_closed_form(self):
+        table = sig.PrimitiveTable.build(self.F, 20.0, 0.01)
+        for t in (-19.99713, -0.004, 3.14159, 20.0):
+            assert abs(table(t)[0] - np.sin(1.3 * t) / 1.3) <= 1e-13
+
+    def test_screen_reads_the_table(self):
+        table = sig.PrimitiveTable.build(self.F, 20.0, 0.01)
+        rep = sig.integral_primitive_bounded(self.F, 20.0, 0.01)
+        assert rep.is_bounded
+        assert rep.sup_estimate == float(np.max(np.abs(table.values)))
+
+    def test_growth_ratio_comes_from_the_tolerances(self, monkeypatch):
+        # F(t) = t doubles over each dyadic window: flagged at 1.8, not at 2.5
+        f = sig.TrigPolynomial.constant([1.0])
+        assert not sig.integral_primitive_bounded(f, 50.0, 0.01).is_bounded
+        monkeypatch.setattr(sig, "DEFAULT", Tolerances(growth_ratio=2.5))
+        assert sig.integral_primitive_bounded(f, 50.0, 0.01).is_bounded
