@@ -22,6 +22,7 @@ from . import signals as sig
 from .depca_engine import (
     DepcaSystem,
     check_propagator_invertibility,
+    quad_tol_for,
     reduce_to_difference,
     solve_bounded_depca,
 )
@@ -393,9 +394,15 @@ def _solve_common(config: RunConfig, report: Report, reduce_mode: bool):
         cert = d.certificate
         report.set("alpha", cert.alpha)
         report.set("K", cert.K)
+        sup_forcing = d.sup_forcing
+        if traj.cascade is not None:
+            # the certificate is for T^-1 C T, whose samples y = T^-1 x obey
+            # |x| <= ||T|| |y| and whose forcing obeys |T^-1 h| <= ||T^-1|| |h|
+            t_mat = traj.cascade.transform
+            sup_forcing *= mat_norm(t_mat) * mat_norm(np.linalg.inv(t_mat))
         bc = bound_check(
             np.stack([traj.integer_samples[n] for n in range(traj.n0, traj.n1 + 1)]),
-            cert, d.sup_forcing, slack=3 * config.tol)
+            cert, sup_forcing, slack=3 * config.tol)
         report.set("bound_certified", bc.certified_bound)
         report.set("bound_holds", bc.passed)
     return system, traj
@@ -427,8 +434,6 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
                 for lv in trace.levels:
                     report.set(f"level_{lv.index}_c", lv.companion)
                     report.set(f"level_{lv.index}_sup", lv.sup_samples)
-                    report.set(f"level_{lv.index}_window",
-                               f"[{lv.window[0]},{lv.window[1]}]")
             if config.period is not None:
                 verdict = diag.periodicity_check(traj, config.period,
                                                  tol=max(1e-6, 10 * config.tol))
@@ -481,7 +486,7 @@ def _certificate_from_config(config: RunConfig, system: DepcaSystem):
         dsys = DifferenceSystem.periodic(mats, zero_h)
         constant = None
     else:
-        dsys = reduce_to_difference(system, min(0.05 * config.tol, 1e-11))
+        dsys = reduce_to_difference(system, quad_tol_for(config.tol))
         constant = dsys.constant_coefficient
     cert = DichotomyCertificate(alpha, k_const, proj, build_fundamental(dsys),
                                 constant)
@@ -532,7 +537,7 @@ def _run_dichotomy(config: RunConfig, report: Report) -> int:
         cert_report = verify_certificate(dsys, cert, window)
         passed = cert_report.passed
     else:
-        dsys = reduce_to_difference(system, min(0.05 * config.tol, 1e-11))
+        dsys = reduce_to_difference(system, quad_tol_for(config.tol))
         cert = certify_constant(dsys.constant_coefficient)
         cert_report = verify_certificate(dsys, cert, 20)
         passed = cert_report.passed

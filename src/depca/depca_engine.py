@@ -37,6 +37,7 @@ from .errors import (
     QuadratureError,
     ResidualCheckError,
     SingularCError,
+    WindowTooSmallError,
     ZInvertibilityError,
 )
 from .matrix_core import (
@@ -505,6 +506,28 @@ def stitch_trajectory(system: DepcaSystem, dsys: DifferenceSystem,
     return traj
 
 
+def quad_tol_for(tol: float) -> float:
+    """Tolerance of the forcing quadrature inside a solve at ``tol``."""
+    return min(0.05 * tol, 1e-11)
+
+
+def _solve_companion(system: DepcaSystem, n0: int, n1: int, tol: float,
+                     tols: Tolerances, verify_residual: bool = True,
+                     transform: np.ndarray | None = None,
+                     original: DepcaSystem | None = None
+                     ) -> tuple[HybridTrajectory, np.ndarray]:
+    """Reduce to x(n+1) = C x(n) + h(n), certify the dichotomy of C, sum
+    the Green series once, and stitch; returns the trajectory and the
+    samples x(n), n = n0..n1, in the basis of ``system``."""
+    quad_tol = quad_tol_for(tol)
+    dsys = reduce_to_difference(system, quad_tol, tols)
+    cert = certify_companion(dsys.constant_coefficient, tols)
+    xs = solve_bounded(dsys, cert, n0, n1, tol)
+    return stitch_trajectory(system, dsys, xs, n0, n1, tol, quad_tol, tols,
+                             certificate=cert, verify_residual=verify_residual,
+                             transform=transform, original=original), xs
+
+
 def solve_bounded_depca(system: DepcaSystem, n0: int, n1: int, tol: float,
                         grid_points: int = 201, verify_residual: bool = True,
                         tols: Tolerances = DEFAULT) -> HybridTrajectory:
@@ -520,13 +543,7 @@ def solve_bounded_depca(system: DepcaSystem, n0: int, n1: int, tol: float,
     report = check_propagator_invertibility(system, grid_points, tols)
     if not report.passed:
         raise ZInvertibilityError(report)
-
-    quad_tol = min(0.05 * tol, 1e-11)
-    dsys = reduce_to_difference(system, quad_tol, tols)
-    cert = certify_companion(dsys.constant_coefficient, tols)
-    xs = solve_bounded(dsys, cert, n0, n1, tol)
-    return stitch_trajectory(system, dsys, xs, n0, n1, tol, quad_tol, tols,
-                             certificate=cert, verify_residual=verify_residual)
+    return _solve_companion(system, n0, n1, tol, tols, verify_residual)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +660,11 @@ def massera_solve(a, forcing: sig.Signal, tol: float,
 
     The truncation radius follows the tail bound of the projected semigroup
     norms: R = ln(max(K_P, K_Q) sup|f| / (tol decay)) / decay, with K_P and
-    K_Q taken over sigma = 0, 0.5, 1, ...  Each side gets half of ``tol``
-    for its quadrature.
+    K_Q taken over sigma = 0, 0.5, 1, ...  sup|f| is the larger of
+    ``forcing.sup_bound()``, for an evaluator-backed signal only the largest
+    value seen so far, and |f| sampled at step 1/16 on [-R-1, R+1],
+    recomputed until R stops growing (WindowTooSmallError if it never
+    does).  Each side gets half of ``tol`` for its quadrature.
     """
     a = as_square_matrix(a, "A")
     split = spectral_split(a, "continuous", tols)
@@ -662,16 +682,30 @@ def massera_solve(a, forcing: sig.Signal, tol: float,
 
     decay = tols.alpha_safety * min(split.decay_rate_stable,
                                     split.decay_rate_unstable)
-    sup_f = forcing.sup_bound()
-    if sup_f <= 0.0:
-        radius = 1.0
+    # K = max over the sides of sup_j ||L e^{M j/2} R|| e^{decay j/2},
+    # the powers of N = e^{decay/2} L e^{M/2} R times L R, as R L = +-I
+    k_big = max(power_sup(math.exp(0.5 * decay) * side.left
+                          @ side._exp(0.5) @ side.right,
+                          side.left @ side.right) for side in sides)
+
+    def radius_for(sup_f: float) -> float:
+        return max(1.0, math.log(max(1.1 * k_big * sup_f / (tol * decay), 1.0))
+                   / decay)
+
+    declared = forcing.sup_bound()
+    radius = radius_for(declared)
+    for _ in range(4):
+        reach = radius + 1.0
+        sampled = forcing.evaluate_grid(np.arange(-reach, reach + 1e-9, 1.0 / 16))
+        wider = radius_for(max(declared, float(np.max(np.abs(sampled)))))
+        if wider <= radius:
+            break
+        radius = wider
     else:
-        # K = max over the sides of sup_j ||L e^{M j/2} R|| e^{decay j/2},
-        # the powers of N = e^{decay/2} L e^{M/2} R times L R, as R L = +-I
-        k_big = max(power_sup(math.exp(0.5 * decay) * side.left
-                              @ side._exp(0.5) @ side.right,
-                              side.left @ side.right) for side in sides)
-        radius = max(1.0, math.log(1.1 * k_big * sup_f / (tol * decay)) / decay)
+        raise WindowTooSmallError(
+            f"forcing supremum kept growing while sizing the Massera radius "
+            f"(radius {radius:.6g})"
+        )
 
     return MasseraSolution(a, forcing, split, radius, p, sides)
 

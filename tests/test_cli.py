@@ -8,6 +8,7 @@ import pytest
 from depca import cli, depca_engine
 from depca.depca_engine import DepcaSystem, reduce_to_difference
 from depca.difference_engine import certify_constant
+from depca.reduction import scalar_companion
 
 CONFIG = {
     "system": {"dimension": 2,
@@ -57,3 +58,31 @@ def test_solve_reduces_once_and_certifies_the_bound(tmp_path, monkeypatch):
     assert float(report_value(report, "bound_certified")) == pytest.approx(
         cert.solution_bound(sup_h), rel=1e-12)
     assert report_value(report, "bound_holds") == "true"
+
+
+
+@pytest.mark.parametrize("a,b,extra", [
+    ([[-1.0, 1.0], [0.0, -2.0]], [[-0.5, 0.3], [0.0, -0.25]], {}),
+    # the certificate is for T^-1 C T; with this T, sup |x| = 184 while the
+    # bound read in the T basis from sup |h| would be 1.64
+    ([[-1.0, 1000.0], [0.0, -2.0]], [[0.0, 0.0], [0.0, 0.0]],
+     {"forcing": {"kind": "constant", "value": [-316.0, 1.0]},
+      "userT": [[1000.0, 0.0], [0.0, 1.0]]}),
+], ids=["coupled", "scaled-basis"])
+def test_reduce_mode_reports_levels_and_certificate(tmp_path, a, b, extra):
+    config = dict(CONFIG, mode="reduce",
+                  system={"dimension": 2, "A": a, "B": b}, **extra)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code = cli.main(["--config", str(config_path), "--out", str(tmp_path),
+                     "--quiet"])
+    assert code == 0
+    report = tmp_path / "reduce_report.txt"
+    assert report_value(report, "cascade_levels") == "2"
+    for i in range(2):
+        assert complex(report_value(report, f"level_{i}_c")) == pytest.approx(
+            scalar_companion(a[i][i], b[i][i]), rel=1e-12)
+    for key in ("alpha", "K"):
+        assert float(report_value(report, key)) > 0
+    assert report_value(report, "bound_holds") == "true"
+    assert "_window = " not in report.read_text()

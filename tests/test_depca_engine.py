@@ -26,6 +26,7 @@ from depca.errors import (
     NoDichotomyError,
     QuadratureError,
     SingularCError,
+    WindowTooSmallError,
 )
 
 
@@ -428,6 +429,21 @@ class TestMassera:
                             sig.TrigPolynomial.cosine([1.0], 1.0), 1e-8)
         worst, allowed = sol.residual_check(np.linspace(-3, 3, 13))
         assert worst <= allowed
+
+    def test_undeclared_sup_sizes_the_radius(self):
+        # an unevaluated CallableSignal reports sup 0; x' = -x + cos t has
+        # the bounded solution (cos t + sin t)/2, so x(0) = 0.5
+        f = sig.CallableSignal(lambda t: [np.cos(t)], 1)
+        sol = massera_solve(np.array([[-1.0]]), f, 1e-9)
+        np.testing.assert_allclose(sol.evaluate(0.0), [0.5], atol=1e-9)
+        declared = massera_solve(np.array([[-1.0]]),
+                                 sig.TrigPolynomial.cosine([1.0], 1.0), 1e-9)
+        assert sol.radius == pytest.approx(declared.radius, rel=1e-12)
+
+    def test_growing_forcing_fails_typed(self):
+        f = sig.CallableSignal(lambda t: [np.exp(abs(t))], 1)
+        with pytest.raises(WindowTooSmallError):
+            massera_solve(np.array([[-1.0]]), f, 1e-9)
 
 
 class TestMasseraSchurKernels:

@@ -51,13 +51,10 @@ class TestBuildCascade:
         np.testing.assert_allclose(cascade.transform, np.eye(2))
         np.testing.assert_allclose(cascade.a_upper, A_TRI)
         np.testing.assert_allclose(cascade.b_upper, B_TRI)
-        # transformed forcing components are the originals
-        for i in range(2):
-            comp = cascade.forcing_components[i]
-            for t in (-0.4, 0.9):
-                np.testing.assert_allclose(comp.evaluate(t),
-                                           [forcing_2d().evaluate(t)[i]],
-                                           atol=1e-14)
+        # the transformed forcing is the original
+        for t in (-0.4, 0.9):
+            np.testing.assert_allclose(cascade.forcing.evaluate(t),
+                                       forcing_2d().evaluate(t), atol=1e-14)
 
     def test_eigen_condition_failure_surfaces(self):
         system = DepcaSystem.build(np.array([[0.0]]), np.array([[-1.0]]),
@@ -146,8 +143,25 @@ class TestSolveByReduction:
         c1 = scalar_companion(-2.0, -0.25)
         assert trace.levels[0].companion == pytest.approx(c0)
         assert trace.levels[1].companion == pytest.approx(c1)
-        # lower level solved on a strictly wider window
-        assert trace.levels[1].window[0] < trace.levels[0].window[0]
+
+    def test_one_green_sum_per_solve(self, monkeypatch):
+        from depca import depca_engine
+
+        calls = []
+        solve_bounded = depca_engine.solve_bounded
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_bounded(*args, **kwargs)
+
+        monkeypatch.setattr(depca_engine, "solve_bounded", counting)
+        system = DepcaSystem.build(A_TRI, B_TRI, forcing_2d())
+        traj = solve_by_reduction(system, None, -5, 5, 1e-9)
+        assert len(calls) == 1
+        # the certificate of the whole triangular companion reaches the result
+        cert = traj.diagnostics.certificate
+        np.testing.assert_allclose(np.diag(cert.constant_coefficient),
+                                   [lv.companion for lv in traj.cascade.levels])
 
     def test_levels_pass_residual_checks(self):
         system = DepcaSystem.build(A_TRI, B_TRI, forcing_2d())
@@ -217,9 +231,6 @@ class TestConjugatedThreeLevels:
         # companions 0.178 (stable), 2.096 (unstable), 0.430 (stable)
         moduli = sorted(abs(lv.companion) for lv in levels)
         assert moduli[0] < 1.0 < moduli[-1]
-        for upper, lower in zip(levels[:-1], levels[1:]):
-            assert lower.window[0] < upper.window[0]
-            assert upper.window[1] < lower.window[1]
 
 
 class TestQuadratureFreeCascade:
@@ -244,16 +255,30 @@ class TestQuadratureFreeCascade:
         assert calls == []
 
 
-class TestLevelWindows:
-    def test_undeclared_forcing_bound_fails_typed(self):
+class TestUndeclaredForcingBound:
+    def test_matches_direct_solver(self):
         # a step forcing without a declared sup reports the largest value
-        # seen so far, so the a-priori level windows can come out too narrow;
-        # reading a lower level outside its window must raise a DepcaError,
-        # never wrap around or escape as a bare exception
-        from depca.errors import WindowTooSmallError
-
+        # seen so far (0 before any evaluation); the one Green sum sizes its
+        # radius from the h(n) it samples, as the direct solver does
+        tol = 1e-9
         f = sig.StepOfSequence.from_sequence(
             lambda n: [1e3 * np.cos(n), 1e3 * np.sin(1.3 * n)])
         system = DepcaSystem.build(A_TRI, np.array([[-0.5, 0.3], [0.0, -0.25]]), f)
-        with pytest.raises(WindowTooSmallError):
-            solve_by_reduction(system, None, -4, 4, 1e-9)
+        red = solve_by_reduction(system, None, -4, 4, tol)
+        direct = solve_bounded_depca(system, -4, 4, tol)
+        for n in range(-4, 5):
+            np.testing.assert_allclose(red.integer_samples[n],
+                                       direct.integer_samples[n], atol=10 * tol)
+        ts = np.linspace(-3.95, 3.95, 80)
+        np.testing.assert_allclose(red.evaluate_grid(ts),
+                                   direct.evaluate_grid(ts), atol=10 * tol)
+
+
+class TestUnitCircleLevel:
+    def test_names_the_level(self):
+        # c_00 = scalar_companion(-1, -0.5) = 0.05, c_11 = e^0 + 0 = 1
+        system = DepcaSystem.build(np.array([[-1.0, 1.0], [0.0, 0.0]]),
+                                   np.diag([-0.5, 0.0]),
+                                   sig.TrigPolynomial.constant([1.0, 1.0]))
+        with pytest.raises(NoDichotomyError, match="cascade level 1:"):
+            solve_by_reduction(system, None, -3, 3, 1e-9)
