@@ -51,7 +51,7 @@ from .matrix_core import (
     spectral_split,
     sup_norm,
 )
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 _GL_NODES, _GL_WEIGHTS = sig.GL_NODES, sig.GL_WEIGHTS
 
@@ -127,8 +127,9 @@ def propagator(system: DepcaSystem, t: float, tau: float) -> np.ndarray:
 
 
 def adaptive_gl(panel: Callable[[float, float], np.ndarray], a: float, b: float,
-                tol: float, max_levels: int = DEFAULT.quad_max_levels) -> np.ndarray:
-    """Adaptive Gauss-Legendre: bisect until the refinement stops moving.
+                tol: float) -> np.ndarray:
+    """Adaptive Gauss-Legendre: bisect until the refinement stops moving,
+    at most ``DEFAULT.quad_max_levels`` levels deep.
 
     ``panel(lo, hi)`` is the 10-point Gauss-Legendre estimate on [lo, hi].
     """
@@ -144,10 +145,10 @@ def adaptive_gl(panel: Callable[[float, float], np.ndarray], a: float, b: float,
         err = sup_norm(refined - whole)
         if err <= budget:
             return refined
-        if level >= max_levels:
+        if level >= DEFAULT.quad_max_levels:
             raise QuadratureError(
                 f"quadrature on [{lo:.6g}, {hi:.6g}] did not converge after "
-                f"{max_levels} refinement levels (error {err:.3g})"
+                f"{DEFAULT.quad_max_levels} refinement levels (error {err:.3g})"
             )
         half_budget = 0.5 * budget
         return (recurse(lo, mid, left, half_budget, level + 1)
@@ -160,8 +161,7 @@ def adaptive_gl(panel: Callable[[float, float], np.ndarray], a: float, b: float,
 # accumulated forcing
 
 
-def _trig_kernel(system: DepcaSystem, u: float, omega: float,
-                 tols: Tolerances) -> np.ndarray | None:
+def _trig_kernel(system: DepcaSystem, u: float, omega: float) -> np.ndarray | None:
     """(i w I - A)^-1 (e^{i w u} I - e^{A u}), or None within the resonance
     margin of spec(A) where the resolvent is unreliable."""
     key = (_u_key(u), omega)
@@ -170,7 +170,7 @@ def _trig_kernel(system: DepcaSystem, u: float, omega: float,
         return cache[key]
     if omega not in system._resolvent_cache:
         gap = float(np.min(np.abs(1j * omega - system.a_eigenvalues())))
-        if gap < tols.resonance_margin:
+        if gap < DEFAULT.resonance_margin:
             system._resolvent_cache[omega] = None
         else:
             p = system.dimension
@@ -198,8 +198,8 @@ def _gl_stack(system: DepcaSystem, width: float) -> np.ndarray:
     return system._exp_cache[key]
 
 
-def interval_forcing(system: DepcaSystem, n: int, u: float, quad_tol: float,
-                     tols: Tolerances = DEFAULT) -> np.ndarray:
+def interval_forcing(system: DepcaSystem, n: int, u: float, quad_tol: float
+                     ) -> np.ndarray:
     """integral_n^{n+u} e^{A(n+u-s)} f(s) ds for 0 <= u <= 1.
 
     Signals constant on [n, n+1) integrate through the exponential-integral
@@ -231,15 +231,14 @@ def interval_forcing(system: DepcaSystem, n: int, u: float, quad_tol: float,
         total = np.zeros(system.dimension, dtype=complex)
         budget = quad_tol / max(1, len(cuts) - 1)
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            total = total + adaptive_gl(panel, lo, hi, budget,
-                                        tols.quad_max_levels)
+            total = total + adaptive_gl(panel, lo, hi, budget)
         return total
 
     terms = f.trig_terms()
     if terms is not None:
         out = np.zeros(system.dimension, dtype=complex)
         for coef, omega in terms:
-            kernel = _trig_kernel(system, u, omega, tols)
+            kernel = _trig_kernel(system, u, omega)
             if kernel is None:
                 out = out + quad_for(sig.TrigPolynomial(((coef, omega),),
                                                         system.dimension))
@@ -250,21 +249,19 @@ def interval_forcing(system: DepcaSystem, n: int, u: float, quad_tol: float,
     return quad_for(f)
 
 
-def forcing_integral(system: DepcaSystem, t: float, quad_tol: float,
-                     tols: Tolerances = DEFAULT) -> np.ndarray:
+def forcing_integral(system: DepcaSystem, t: float, quad_tol: float) -> np.ndarray:
     """H(t) = integral_{[t]}^{t} e^{A(t-s)} f(s) ds."""
     if quad_tol <= 0:
         raise ValueError("quad_tol must be positive")
     n = math.floor(t)
-    return interval_forcing(system, n, t - n, quad_tol, tols)
+    return interval_forcing(system, n, t - n, quad_tol)
 
 
 # ---------------------------------------------------------------------------
 # reduction to the companion difference equation
 
 
-def reduce_to_difference(system: DepcaSystem, quad_tol: float,
-                         tols: Tolerances = DEFAULT) -> DifferenceSystem:
+def reduce_to_difference(system: DepcaSystem, quad_tol: float) -> DifferenceSystem:
     """Companion system x(n+1) = C x(n) + h(n), C = Z(n+1, n).
 
     C is constant because A and B are; h(n) accumulates the forcing across
@@ -273,11 +270,11 @@ def reduce_to_difference(system: DepcaSystem, quad_tol: float,
     """
     c = propagator(system, 1.0, 0.0)
     det = complex(np.linalg.det(c))
-    if abs(det) < tols.det_threshold:
+    if abs(det) < DEFAULT.det_threshold:
         raise SingularCError(det)
 
     def h(n: int) -> np.ndarray:
-        return interval_forcing(system, n, 1.0, quad_tol, tols)
+        return interval_forcing(system, n, 1.0, quad_tol)
 
     return DifferenceSystem(system.dimension, lambda n: c, h, c)
 
@@ -311,36 +308,33 @@ class ZInvertibilityReport:
         return "; ".join(parts)
 
 
-def check_propagator_invertibility(system: DepcaSystem, grid_points: int = 201,
-                                   tols: Tolerances = DEFAULT
-                                   ) -> ZInvertibilityReport:
+def check_propagator_invertibility(system: DepcaSystem) -> ZInvertibilityReport:
     """Screen invertibility of Z(t, tau) across a unit interval.
 
     When A and B triangularize simultaneously, the scalar eigenvalue-pair
     condition is checked analytically for every diagonal pair; the |det Z|
-    grid scan runs in every case as the general fallback.
+    scan on 201 equally spaced u in [0, 1] runs in every case as the
+    general fallback.
     """
-    if grid_points < 2:
-        raise ValueError("need at least 2 grid points")
     failures: list[tuple[int, float]] = []
     analytic = False
     try:
-        _, abar, bbar = simultaneous_triangularize(system.a, system.b, None, tols)
+        _, abar, bbar = simultaneous_triangularize(system.a, system.b)
         analytic = True
         for i in range(system.dimension):
-            check = check_eigenvalue_condition(abar[i, i], bbar[i, i], tols)
+            check = check_eigenvalue_condition(abar[i, i], bbar[i, i])
             if not check.passed:
                 failures.append((i, float(check.u_star)))
     except NotTriangularizableError:
         pass
 
-    us = np.linspace(0.0, 1.0, grid_points)
+    us = np.linspace(0.0, 1.0, 201)
     dets = np.array([abs(np.linalg.det(propagator(system, float(u), 0.0)))
                      for u in us])
     i_min = int(np.argmin(dets))
     return ZInvertibilityReport(float(dets[i_min]), float(us[i_min]),
-                                grid_points, analytic, tuple(failures),
-                                tols.det_threshold)
+                                len(us), analytic, tuple(failures),
+                                DEFAULT.det_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +346,12 @@ class TrajectoryDiagnostics:
     continuity_max: float
     continuity_tol: float
     recursion_residual: float
-    residual_max: float | None
-    residual_tol: float | None
+    residual_max: float
+    residual_tol: float
     certificate: DichotomyCertificate | None
     sup_samples: float
     sup_forcing: float              # max |h(n)| over n0 - 1 <= n <= n1
+    screen: ZInvertibilityReport | None = None  # None for solve_by_reduction
 
 
 @dataclass
@@ -397,23 +392,23 @@ class HybridTrajectory:
         return (self.n0, self.n1)
 
 
-def ode_residual_check(traj: HybridTrajectory, system: DepcaSystem,
-                       points_per_interval: int = 7,
-                       tols: Tolerances = DEFAULT) -> tuple[float, float]:
-    """Central-difference check of x' - A x - B x([t]) - f on open intervals.
+def ode_residual_check(traj: HybridTrajectory, system: DepcaSystem
+                       ) -> tuple[float, float]:
+    """Central-difference check of x' - A x - B x([t]) - f at the 7 points
+    n + j/8 inside each interval.
 
-    Returns (max residual, allowed tolerance); the tolerance is the
-    configured scale factor times (1 + ||A|| + ||B||) times sup |x|.
+    Returns (max residual, allowed tolerance); the tolerance is
+    ``DEFAULT.residual_scale`` times (1 + ||A|| + ||B||) times sup |x|.
     Derivatives are only probed where the equation holds classically: at
     interior points, moved just past any forcing jump inside the stencil.
     """
-    step = tols.central_diff_step
+    step = DEFAULT.central_diff_step
     worst = 0.0
     sup_x = traj.sup_samples()
     for n in range(traj.n0, traj.n1):
         x_n = traj.integer_samples[n]
-        for j in range(1, points_per_interval + 1):
-            t = n + j / (points_per_interval + 1)
+        for j in range(1, 8):
+            t = n + j / 8
             jumps = system.forcing.breakpoints_in(t - step, t + step)
             if jumps:
                 t = max(jumps) + 2.0 * step
@@ -424,16 +419,16 @@ def ode_residual_check(traj: HybridTrajectory, system: DepcaSystem,
             deriv = (x_plus - x_minus) / (2.0 * step)
             rhs = system.a @ x_t + system.b @ x_n + system.forcing.evaluate(t)
             worst = max(worst, sup_norm(deriv - rhs))
-    allowed = tols.residual_scale * (1.0 + mat_norm(system.a)
-                                     + mat_norm(system.b)) * max(sup_x, 1e-30)
+    allowed = DEFAULT.residual_scale * (1.0 + mat_norm(system.a)
+                                        + mat_norm(system.b)) * max(sup_x, 1e-30)
     return worst, allowed
 
 
-def certify_companion(c, tols: Tolerances = DEFAULT) -> DichotomyCertificate:
+def certify_companion(c) -> DichotomyCertificate:
     """``certify_constant`` for a companion coefficient; an eigenvalue on
     the unit circle raises NoDichotomyError."""
     try:
-        return certify_constant(c, tols)
+        return certify_constant(c)
     except BoundaryEigenvalueError as exc:
         raise NoDichotomyError(
             f"companion coefficient has no dichotomy: {exc}"
@@ -442,9 +437,8 @@ def certify_companion(c, tols: Tolerances = DEFAULT) -> DichotomyCertificate:
 
 def stitch_trajectory(system: DepcaSystem, dsys: DifferenceSystem,
                       xs: np.ndarray, n0: int, n1: int, tol: float,
-                      quad_tol: float, tols: Tolerances = DEFAULT,
+                      quad_tol: float,
                       certificate: DichotomyCertificate | None = None,
-                      verify_residual: bool = True,
                       transform: np.ndarray | None = None,
                       original: DepcaSystem | None = None) -> HybridTrajectory:
     """The trajectory through the samples ``xs`` (n = n0..n1) of the
@@ -481,18 +475,16 @@ def stitch_trajectory(system: DepcaSystem, dsys: DifferenceSystem,
     def segment(n: int, t: float) -> np.ndarray:
         u = t - n
         return to_x(propagator(system, u, 0.0) @ xs[n - n0]
-                    + interval_forcing(system, n, u, quad_tol, tols))
+                    + interval_forcing(system, n, u, quad_tol))
 
     traj = HybridTrajectory(n0, n1, system.dimension, samples, segment)
-    residual_max = residual_tol = None
-    if verify_residual:
-        residual_max, residual_tol = ode_residual_check(
-            traj, system if original is None else original, 7, tols)
-        if residual_max > residual_tol:
-            raise ResidualCheckError(
-                f"interior ODE residual {residual_max:.3e} exceeds "
-                f"{residual_tol:.3e}"
-            )
+    residual_max, residual_tol = ode_residual_check(
+        traj, system if original is None else original)
+    if residual_max > residual_tol:
+        raise ResidualCheckError(
+            f"interior ODE residual {residual_max:.3e} exceeds "
+            f"{residual_tol:.3e}"
+        )
     traj.diagnostics = TrajectoryDiagnostics(
         continuity_max=continuity,
         continuity_tol=10.0 * tol * scale,
@@ -512,7 +504,6 @@ def quad_tol_for(tol: float) -> float:
 
 
 def _solve_companion(system: DepcaSystem, n0: int, n1: int, tol: float,
-                     tols: Tolerances, verify_residual: bool = True,
                      transform: np.ndarray | None = None,
                      original: DepcaSystem | None = None
                      ) -> tuple[HybridTrajectory, np.ndarray]:
@@ -520,30 +511,32 @@ def _solve_companion(system: DepcaSystem, n0: int, n1: int, tol: float,
     the Green series once, and stitch; returns the trajectory and the
     samples x(n), n = n0..n1, in the basis of ``system``."""
     quad_tol = quad_tol_for(tol)
-    dsys = reduce_to_difference(system, quad_tol, tols)
-    cert = certify_companion(dsys.constant_coefficient, tols)
+    dsys = reduce_to_difference(system, quad_tol)
+    cert = certify_companion(dsys.constant_coefficient)
     xs = solve_bounded(dsys, cert, n0, n1, tol)
-    return stitch_trajectory(system, dsys, xs, n0, n1, tol, quad_tol, tols,
-                             certificate=cert, verify_residual=verify_residual,
-                             transform=transform, original=original), xs
+    return stitch_trajectory(system, dsys, xs, n0, n1, tol, quad_tol,
+                             certificate=cert, transform=transform,
+                             original=original), xs
 
 
-def solve_bounded_depca(system: DepcaSystem, n0: int, n1: int, tol: float,
-                        grid_points: int = 201, verify_residual: bool = True,
-                        tols: Tolerances = DEFAULT) -> HybridTrajectory:
+def solve_bounded_depca(system: DepcaSystem, n0: int, n1: int, tol: float
+                        ) -> HybridTrajectory:
     """The unique bounded trajectory, built through the companion system.
 
     Steps: screen Z-invertibility, reduce to x(n+1) = C x(n) + h(n), certify
     the dichotomy of C, sum the Green series for the integer samples, then
     stitch segments with the exact propagation formula.  Continuity at the
-    integers and the interior ODE residual are verified before returning.
+    integers and the interior ODE residual are verified before returning;
+    the screen's report is kept as ``diagnostics.screen``.
     """
     if n0 >= n1:
         raise ValueError("need n0 < n1")
-    report = check_propagator_invertibility(system, grid_points, tols)
+    report = check_propagator_invertibility(system)
     if not report.passed:
         raise ZInvertibilityError(report)
-    return _solve_companion(system, n0, n1, tol, tols, verify_residual)[0]
+    traj = _solve_companion(system, n0, n1, tol)[0]
+    traj.diagnostics.screen = report
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -640,22 +633,8 @@ class MasseraSolution:
     def evaluate_grid(self, ts) -> np.ndarray:
         return np.stack([self.evaluate(float(t)) for t in np.asarray(ts, dtype=float)])
 
-    def residual_check(self, ts, tols: Tolerances = DEFAULT) -> tuple[float, float]:
-        step = tols.central_diff_step
-        worst = 0.0
-        sup_x = 0.0
-        for t in ts:
-            x_t = self.evaluate(t)
-            sup_x = max(sup_x, sup_norm(x_t))
-            deriv = (self.evaluate(t + step) - self.evaluate(t - step)) / (2 * step)
-            worst = max(worst, sup_norm(deriv - (self.a @ x_t
-                                                 + self.forcing.evaluate(t))))
-        allowed = tols.residual_scale * (1.0 + mat_norm(self.a)) * max(sup_x, 1e-30)
-        return worst, allowed
 
-
-def massera_solve(a, forcing: sig.Signal, tol: float,
-                  tols: Tolerances = DEFAULT) -> MasseraSolution:
+def massera_solve(a, forcing: sig.Signal, tol: float) -> MasseraSolution:
     """Bounded solution of x' = A x + f when spec(A) avoids the imaginary axis.
 
     The truncation radius follows the tail bound of the projected semigroup
@@ -667,7 +646,7 @@ def massera_solve(a, forcing: sig.Signal, tol: float,
     does).  Each side gets half of ``tol`` for its quadrature.
     """
     a = as_square_matrix(a, "A")
-    split = spectral_split(a, "continuous", tols)
+    split = spectral_split(a, "continuous")
     p = a.shape[0]
     k = len(split.stable_eigenvalues)
     tri, x = split.schur_form, split.coupling
@@ -680,8 +659,8 @@ def massera_solve(a, forcing: sig.Signal, tol: float,
     sides = tuple(_HalfLine(name, m, left, right, d, 0.5 * tol / mat_norm(left))
                   for name, m, left, right, d in sides)
 
-    decay = tols.alpha_safety * min(split.decay_rate_stable,
-                                    split.decay_rate_unstable)
+    decay = DEFAULT.alpha_safety * min(split.decay_rate_stable,
+                                       split.decay_rate_unstable)
     # K = max over the sides of sup_j ||L e^{M j/2} R|| e^{decay j/2},
     # the powers of N = e^{decay/2} L e^{M/2} R times L R, as R L = +-I
     k_big = max(power_sup(math.exp(0.5 * decay) * side.left

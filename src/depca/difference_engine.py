@@ -25,7 +25,7 @@ from .errors import (
     SingularCoefficientError,
 )
 from .matrix_core import as_square_matrix, eigenvalues, mat_norm, spectral_split, sup_norm
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 POWER_CAP = 10**6  # largest power of a scaled dichotomy step searched
 
@@ -178,7 +178,7 @@ def power_sup(m: np.ndarray, s: np.ndarray) -> float:
     raise InvalidCertificateError(f"no dichotomy step power <= {POWER_CAP} has norm <= 1")
 
 
-def certify_constant(c, tols: Tolerances = DEFAULT) -> DichotomyCertificate:
+def certify_constant(c) -> DichotomyCertificate:
     """Dichotomy certificate for a constant, hyperbolic coefficient matrix.
 
     P comes from the discrete spectral split; alpha is the spectral decay
@@ -189,23 +189,23 @@ def certify_constant(c, tols: Tolerances = DEFAULT) -> DichotomyCertificate:
     """
     c = as_square_matrix(c, "C")
     det = np.linalg.det(c)
-    if abs(det) < tols.det_floor:
+    if abs(det) < DEFAULT.det_floor:
         raise SingularCoefficientError(
             f"coefficient is singular (|det| = {abs(det):.3g})"
         )
     evals = eigenvalues(c)
     for lam in evals:
         dist = abs(abs(lam) - 1.0)
-        if dist < tols.boundary_margin:
+        if dist < DEFAULT.boundary_margin:
             raise BoundaryEigenvalueError(complex(lam), dist, "discrete")
 
-    split = spectral_split(c, "discrete", tols)
-    alpha = tols.alpha_safety * float(min(abs(math.log(abs(lam))) for lam in evals))
+    split = spectral_split(c, "discrete")
+    alpha = DEFAULT.alpha_safety * float(min(abs(math.log(abs(lam))) for lam in evals))
     y = build_fundamental(DifferenceSystem.constant(c, lambda n: np.zeros(len(c))))
     cert = DichotomyCertificate(alpha, math.inf, split.stable_projection, y, c)
     green = cert.green_function()  # K is not read by the step operators
     back = math.exp(alpha) * green.unstable_step
-    cert.K = tols.k_headroom * max(
+    cert.K = DEFAULT.k_headroom * max(
         power_sup(math.exp(alpha) * green.stable_step, cert.projection),
         power_sup(back, back))
     return cert
@@ -231,7 +231,7 @@ class CertificateReport:
 
 
 def verify_certificate(sys: DifferenceSystem, cert: DichotomyCertificate,
-                       window: int, tols: Tolerances = DEFAULT) -> CertificateReport:
+                       window: int) -> CertificateReport:
     """Check the decay inequality, the Y recursion and P idempotency."""
     if window < 1:
         raise ValueError("window must be at least 1")
@@ -258,9 +258,9 @@ def verify_certificate(sys: DifferenceSystem, cert: DichotomyCertificate,
                 worst_pair = (m, l)
 
     failed = None
-    if proj_defect > tols.projection_idem:
+    if proj_defect > DEFAULT.projection_idem:
         failed = "dichotomy.projection_idempotent"
-    elif rec_res > tols.projection_idem:
+    elif rec_res > DEFAULT.projection_idem:
         failed = "dichotomy.fundamental_recursion"
     elif worst < -1e-12 * cert.K:
         failed = "dichotomy.green_decay"

@@ -20,7 +20,7 @@ from .errors import (
     NotTriangularizableError,
     UserTInvalidError,
 )
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 MAX_DIMENSION = 16
 
@@ -61,26 +61,26 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 
 
-def expm(a, t: float = 1.0, tols: Tolerances = DEFAULT) -> np.ndarray:
+def expm(a, t: float = 1.0) -> np.ndarray:
     """e^{A t} by scaling and squaring with the degree-13 Pade approximant.
 
     The squaring count is capped; exceeding the cap means the propagation
     window is ill-posed for this matrix and an ExpmOverflowError is raised.
     """
-    return _expm(as_square_matrix(a, "A") * t, tols)
+    return _expm(as_square_matrix(a, "A") * t)
 
 
-def _expm(m: np.ndarray, tols: Tolerances = DEFAULT) -> np.ndarray:
+def _expm(m: np.ndarray) -> np.ndarray:
     """Pade-13 kernel of ``expm`` on an already validated square array."""
     p = m.shape[0]
     norm1 = float(np.linalg.norm(m, 1)) if p else 0.0
     squarings = 0
     if norm1 > _THETA13:
         squarings = int(np.ceil(np.log2(norm1 / _THETA13)))
-        if squarings > tols.max_squarings:
+        if squarings > DEFAULT.max_squarings:
             raise ExpmOverflowError(
                 f"||A t||_1 = {norm1:.3g} needs {squarings} squarings "
-                f"(cap {tols.max_squarings}): ill-posed window"
+                f"(cap {DEFAULT.max_squarings}): ill-posed window"
             )
         m = m / (2.0 ** squarings)
 
@@ -99,8 +99,7 @@ def _expm(m: np.ndarray, tols: Tolerances = DEFAULT) -> np.ndarray:
     return f
 
 
-def expm_integral(a, b, u: float, tols: Tolerances = DEFAULT
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def expm_integral(a, b, u: float) -> tuple[np.ndarray, np.ndarray]:
     """Jointly compute (e^{Au}, (integral_0^u e^{As} ds) B).
 
     Both blocks are read off one exponential of the augmented matrix
@@ -118,7 +117,7 @@ def expm_integral(a, b, u: float, tols: Tolerances = DEFAULT
     w = np.zeros((2 * p, 2 * p), dtype=dtype)
     w[:p, :p] = a
     w[:p, p:] = np.eye(p)
-    e = _expm(w * u, tols)
+    e = _expm(w * u)
     # copies, so a cached block does not keep the whole 2p x 2p array alive
     return e[:p, :p].astype(dtype), e[:p, p:] @ b
 
@@ -173,7 +172,7 @@ def _is_stable(lam: complex, mode: str) -> bool:
     return abs(lam) < 1.0
 
 
-def spectral_split(m, mode: str, tols: Tolerances = DEFAULT) -> SpectralSplit:
+def spectral_split(m, mode: str) -> SpectralSplit:
     """Split a matrix into stable/unstable spectral projectors.
 
     mode 'continuous' splits along the imaginary axis, 'discrete' along the
@@ -188,7 +187,7 @@ def spectral_split(m, mode: str, tols: Tolerances = DEFAULT) -> SpectralSplit:
     evals = eigenvalues(m)
     for lam in evals:
         dist = _boundary_distance(complex(lam), mode)
-        if dist < tols.boundary_margin:
+        if dist < DEFAULT.boundary_margin:
             raise BoundaryEigenvalueError(complex(lam), dist, mode)
 
     t, u, sdim = sla.schur(m.astype(complex), output="complex",
@@ -263,16 +262,15 @@ def _phi1(z):
     return np.where(small, series, (np.exp(z) - 1.0) / np.where(small, 1.0, z))[()]
 
 
-def check_eigenvalue_condition(lambda_a: complex, lambda_b: complex,
-                               tols: Tolerances = DEFAULT,
-                               grid: int = 2049) -> EigenConditionCheck:
+def check_eigenvalue_condition(lambda_a: complex, lambda_b: complex
+                               ) -> EigenConditionCheck:
     """Scan u in [0, 1] for the invertibility condition expr(u) != -1.
 
     expr(u) = lambda_B * u * phi1(-u lambda_A) covers both branches of the
     condition continuously (phi1(0) = 1 gives the lambda_A = 0 case).  The
-    scan locates the minimum of |expr + 1| on a grid and refines it by
-    bisecting the derivative of |expr + 1|^2, which pins the violating u*
-    far below 1e-12.
+    scan locates the minimum of |expr + 1| on a 2049-point grid and refines
+    it by bisecting the derivative of |expr + 1|^2, which pins the
+    violating u* far below 1e-12.
     """
     la = complex(lambda_a)
     lb = complex(lambda_b)
@@ -288,11 +286,11 @@ def check_eigenvalue_condition(lambda_a: complex, lambda_b: complex,
         # derivative of |phi|^2
         return 2.0 * (np.conj(phi(u)) * dphi(u)).real
 
-    us = np.linspace(0.0, 1.0, grid)
+    us = np.linspace(0.0, 1.0, 2049)
     mods = np.abs(phi(us))
     i = int(np.argmin(mods))
 
-    if 0 < i < grid - 1:
+    if 0 < i < len(us) - 1:
         lo, hi = us[i - 1], us[i + 1]
         if slope(lo) < 0.0 < slope(hi):
             for _ in range(80):
@@ -310,7 +308,7 @@ def check_eigenvalue_condition(lambda_a: complex, lambda_b: complex,
     if abs(phi(1.0)) < modulus:
         u_min, modulus = 1.0, float(abs(phi(1.0)))
 
-    if modulus <= tols.eigen_condition_tol:
+    if modulus <= DEFAULT.eigen_condition_tol:
         return EigenConditionCheck(False, u_min, modulus, u_min)
     return EigenConditionCheck(True, None, modulus, u_min)
 
@@ -370,7 +368,7 @@ def _embed_first_column(v: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def simultaneous_triangularize(a, b, user_t=None, tols: Tolerances = DEFAULT
+def simultaneous_triangularize(a, b, user_t=None
                                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Find T with T^-1 A T and T^-1 B T both upper triangular.
 
@@ -393,21 +391,21 @@ def simultaneous_triangularize(a, b, user_t=None, tols: Tolerances = DEFAULT
             raise UserTInvalidError("supplied T is singular")
         abar = np.linalg.solve(t, a @ t)
         bbar = np.linalg.solve(t, b @ t)
-        tol = tols.triangular_tol * scale
+        tol = DEFAULT.triangular_tol * scale
         if not (_is_upper(abar, tol) and _is_upper(bbar, tol)):
             raise UserTInvalidError(
                 "supplied T does not make both matrices upper triangular"
             )
         return t, np.triu(abar), np.triu(bbar)
 
-    tol = tols.triangular_tol * scale
+    tol = DEFAULT.triangular_tol * scale
     if _is_upper(a, tol) and _is_upper(b, tol):
         return (np.eye(p, dtype=complex), np.triu(a).astype(complex),
                 np.triu(b).astype(complex))
 
     comm = a @ b - b @ a
     comm_norm = mat_norm(comm)
-    if comm_norm > tols.commute_tol * scale:
+    if comm_norm > DEFAULT.commute_tol * scale:
         # necessary condition: the commutator of a triangularizable pair is
         # nilpotent.  Test (AB - BA)^p, not its eigenvalues: a nilpotent
         # Jordan block of size k has computed eigenvalues of order eps^(1/k)
@@ -422,7 +420,7 @@ def simultaneous_triangularize(a, b, user_t=None, tols: Tolerances = DEFAULT
     bk = b.astype(complex)
     for k in range(p - 1):
         m = p - k
-        v = _common_eigenvector(ak, bk, tols.common_eigvec_tol * scale)
+        v = _common_eigenvector(ak, bk, DEFAULT.common_eigvec_tol * scale)
         if v is None:
             raise NotTriangularizableError(
                 f"no common eigenvector at deflation stage {k}"

@@ -33,7 +33,6 @@ from .matrix_core import (
     simultaneous_triangularize,
     sup_norm,
 )
-from .tolerances import DEFAULT, Tolerances
 
 
 def scalar_companion(alpha: complex, beta: complex) -> complex:
@@ -56,18 +55,16 @@ class TriangularCascade:
         return self.transform.shape[0]
 
 
-def build_cascade(system: DepcaSystem, user_t=None,
-                  tols: Tolerances = DEFAULT) -> TriangularCascade:
+def build_cascade(system: DepcaSystem, user_t=None) -> TriangularCascade:
     """Triangularize (A, B), transform the forcing, and vet every
     diagonal eigenvalue pair against the invertibility condition."""
-    t, a_upper, b_upper = simultaneous_triangularize(system.a, system.b,
-                                                     user_t, tols)
+    t, a_upper, b_upper = simultaneous_triangularize(system.a, system.b, user_t)
     transformed = sig.linear_map(np.linalg.inv(t), system.forcing)
 
     pairs = tuple((complex(a_upper[i, i]), complex(b_upper[i, i]))
                   for i in range(system.dimension))
     for i, (alpha, beta) in enumerate(pairs):
-        check = check_eigenvalue_condition(alpha, beta, tols)
+        check = check_eigenvalue_condition(alpha, beta)
         if not check.passed:
             raise EigenConditionFailError(i, float(check.u_star))
 
@@ -75,15 +72,14 @@ def build_cascade(system: DepcaSystem, user_t=None,
 
 
 def solve_scalar_depca(alpha: complex, beta: complex, z: sig.Signal,
-                       n0: int, n1: int, tol: float,
-                       tols: Tolerances = DEFAULT) -> HybridTrajectory:
+                       n0: int, n1: int, tol: float) -> HybridTrajectory:
     """Bounded solution of y' = alpha y + beta y([t]) + z(t).
 
     Delegates to the hybrid solver with 1x1 matrices; the companion
     coefficient must stay off the unit circle (NoDichotomyError otherwise).
     """
     system = DepcaSystem.build(np.array([[alpha]]), np.array([[beta]]), z)
-    return solve_bounded_depca(system, n0, n1, tol, tols=tols)
+    return solve_bounded_depca(system, n0, n1, tol)
 
 
 @dataclass(frozen=True)
@@ -102,8 +98,7 @@ class CascadeTrace:
 
 
 def solve_by_reduction(system: DepcaSystem, user_t=None, n0: int = 0,
-                       n1: int = 1, tol: float = 1e-9,
-                       tols: Tolerances = DEFAULT) -> HybridTrajectory:
+                       n1: int = 1, tol: float = 1e-9) -> HybridTrajectory:
     """Solve the hybrid system through its triangular companion.
 
     Builds the cascade, then solves the transformed system with the direct
@@ -116,11 +111,11 @@ def solve_by_reduction(system: DepcaSystem, user_t=None, n0: int = 0,
     """
     if n0 >= n1:
         raise ValueError("need n0 < n1")
-    cascade = build_cascade(system, user_t, tols)
+    cascade = build_cascade(system, user_t)
     tsys = DepcaSystem.build(cascade.a_upper, cascade.b_upper, cascade.forcing)
     companions = [scalar_companion(*pair) for pair in cascade.diagonal_pairs]
     try:
-        traj, ys = _solve_companion(tsys, n0, n1, tol, tols,
+        traj, ys = _solve_companion(tsys, n0, n1, tol,
                                     transform=cascade.transform, original=system)
     except NoDichotomyError as exc:
         # the eigenvalues of the triangular companion are its c_ii

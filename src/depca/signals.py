@@ -141,9 +141,6 @@ class TrigPolynomial(Signal):
             return 0.0
         return float(np.max(sum(np.abs(c) for c, _ in self.terms)))
 
-    def frequencies(self) -> tuple[float, ...]:
-        return tuple(w for _, w in self.terms)
-
     def constant_on_unit_interval(self, n: int) -> np.ndarray | None:
         if all(w == 0.0 for _, w in self.terms):
             return self.evaluate(float(n))

@@ -1,7 +1,9 @@
-"""Central tolerance configuration.
+"""The library's numeric policy.
 
-Every numeric margin used by the library lives here so that the defaults
-are visible in one place and can be overridden wholesale for experiments.
+Every numeric margin the solvers compare against lives here, once, in
+``DEFAULT``.  No function takes a tolerance set as an argument: each use
+site reads ``DEFAULT.<field>`` from its own module's namespace at call
+time, so a margin changes in one place for every caller.
 """
 
 from dataclasses import dataclass
@@ -10,7 +12,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     # projections and splits
-    projection_sum: float = 1e-10       # ||P + Q - I||
     projection_idem: float = 1e-9       # ||P^2 - P||
     boundary_margin: float = 1e-8       # spectral distance to the stability boundary
 

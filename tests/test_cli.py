@@ -1,12 +1,17 @@
 """Tests for the command-line front end."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from depca import cli, depca_engine
-from depca.depca_engine import DepcaSystem, reduce_to_difference
+from depca.depca_engine import (
+    DepcaSystem,
+    check_propagator_invertibility,
+    reduce_to_difference,
+)
 from depca.difference_engine import certify_constant
 from depca.reduction import scalar_companion
 
@@ -86,3 +91,74 @@ def test_reduce_mode_reports_levels_and_certificate(tmp_path, a, b, extra):
         assert float(report_value(report, key)) > 0
     assert report_value(report, "bound_holds") == "true"
     assert "_window = " not in report.read_text()
+
+
+def run_cli(tmp_path, config):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    return cli.main(["--config", str(config_path), "--out", str(tmp_path),
+                     "--quiet"])
+
+
+SINGULAR_Z = {"dimension": 2, "A": [[0.0, 0.0], [0.0, 0.0]],
+              "B": [[-1.0, 0.0], [0.0, -1.0]]}
+
+
+def test_verify_screens_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return check_propagator_invertibility(*args, **kwargs)
+
+    monkeypatch.setattr(depca_engine, "check_propagator_invertibility", counting)
+    monkeypatch.setattr(cli, "check_propagator_invertibility", counting,
+                        raising=False)
+    assert run_cli(tmp_path, dict(CONFIG, mode="verify")) == 0
+    assert len(calls) == 1
+    report = tmp_path / "verify_report.txt"
+    assert report_value(report, "verify_pass") == "true"
+    assert float(report_value(report, "det_z_min")) > 0.0
+
+
+def test_verify_refutes_a_singular_propagator(tmp_path):
+    # Z(u) = (1 - u) I is singular at u = 1
+    assert run_cli(tmp_path, dict(CONFIG, mode="verify", system=SINGULAR_Z)) == 2
+    report = tmp_path / "verify_report.txt"
+    assert report_value(report, "failed_invariant") == "propagator.invertibility"
+    assert float(report_value(report, "det_z_min")) == 0.0
+
+
+def test_solve_with_a_singular_propagator_cannot_run(tmp_path, capsys):
+    assert run_cli(tmp_path, dict(CONFIG, system=SINGULAR_Z)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_missing_solve_block_is_a_config_error(tmp_path, capsys):
+    config = {k: v for k, v in CONFIG.items() if k != "solve"}
+    assert run_cli(tmp_path, config) == 1
+    assert "config error: .solve: missing required field" in capsys.readouterr().err
+
+
+def test_wrong_period_is_refuted(tmp_path):
+    assert run_cli(tmp_path, dict(CONFIG, period=[1, 1])) == 2
+    report = tmp_path / "solve_report.txt"
+    assert report_value(report, "failed_invariant") == "diagnostics.periodicity"
+    assert report_value(report, "periodicity_pass") == "false"
+
+
+def test_emit_config_round_trips():
+    raw = dict(CONFIG, mode="verify", seed=7, period=[2, 1],
+               userT=[[1.0, 0.5], [0.0, 2.0]],
+               scan={"epsilon": 0.2, "shift_range": 5},
+               certificate={"alpha": 0.1, "K": 3.0,
+                            "P": [[1.0, 0.0], [0.0, 0.0]]},
+               output={"report": "r.txt"})
+    config = cli.config_from_dict(raw)
+    again = cli.config_from_dict(json.loads(cli.emit_config(config)))
+    for f in dataclasses.fields(cli.RunConfig):
+        want, got = getattr(config, f.name), getattr(again, f.name)
+        if isinstance(want, np.ndarray):
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert got == want, f.name
