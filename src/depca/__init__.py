@@ -22,7 +22,6 @@ from .difference_engine import (
     bi_shift_invariance_check,
     bound_check,
     certify_constant,
-    oracle_direct_sum,
     solve_bounded,
     verify_certificate,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "imaginary_scalar_solve",
     "interval_forcing",
     "massera_solve",
-    "oracle_direct_sum",
     "propagator",
     "reduce_to_difference",
     "signals",

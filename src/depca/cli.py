@@ -46,6 +46,11 @@ from .matrix_core import mat_norm
 from .reduction import solve_by_reduction
 
 MODES = ("solve", "verify", "reduce", "dichotomy", "scan")
+SCAN_TARGETS = ("forcing", "solution")
+# the optional fields of the scan block, and the whole block when it is absent
+SCAN_DEFAULTS = {"epsilon": 0.1, "shift_range": 20, "integer_shifts_only": True,
+                 "window": 10.0, "target": "forcing", "grid_step": 1e-2}
+CERTIFICATE_WINDOW = 20
 
 
 # ---------------------------------------------------------------------------
@@ -53,21 +58,33 @@ MODES = ("solve", "verify", "reduce", "dichotomy", "scan")
 
 
 def _require(block: dict, key: str, path: str):
+    if not isinstance(block, dict):
+        raise ValidationError(path, "expected an object")
     if key not in block:
         raise ValidationError(f"{path}.{key}", "missing required field")
     return block[key]
 
 
-def _as_int(x, path: str) -> int:
+def _as_int(x, path: str, low: int | None = None) -> int:
     if isinstance(x, bool) or not isinstance(x, (int, float)) or x != int(x):
         raise ValidationError(path, f"expected an integer, got {x!r}")
+    if low is not None and x < low:
+        raise ValidationError(path, f"must be at least {low}, got {x!r}")
     return int(x)
 
 
-def _as_number(x, path: str) -> float:
+def _as_number(x, path: str, positive: bool = False) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValidationError(path, f"expected a number, got {x!r}")
+    if positive and not x > 0:
+        raise ValidationError(path, f"must be positive, got {x!r}")
     return float(x)
+
+
+def _as_list(x, path: str) -> list:
+    if not isinstance(x, list) or not x:
+        raise ValidationError(path, "expected a nonempty array")
+    return x
 
 
 def _as_complex(x, path: str) -> complex:
@@ -119,9 +136,7 @@ def build_signal(spec, dimension: int, path: str = "forcing") -> sig.Signal:
                  "exponential": sig.TrigPolynomial.exponential}[kind]
         return maker(coef, omega)
     if kind == "trig":
-        terms = _require(spec, "terms", path)
-        if not isinstance(terms, list) or not terms:
-            raise ValidationError(f"{path}.terms", "expected a nonempty array")
+        terms = _as_list(_require(spec, "terms", path), f"{path}.terms")
         built = []
         for i, term in enumerate(terms):
             coef = _as_vector(_require(term, "coefficient", f"{path}.terms[{i}]"),
@@ -131,18 +146,14 @@ def build_signal(spec, dimension: int, path: str = "forcing") -> sig.Signal:
             built.append((coef, freq))
         return sig.TrigPolynomial.from_terms(built, dimension)
     if kind == "step":
-        values = _require(spec, "values", path)
-        if not isinstance(values, list) or not values:
-            raise ValidationError(f"{path}.values", "expected a nonempty array")
+        values = _as_list(_require(spec, "values", path), f"{path}.values")
         vecs = [_as_vector(v, f"{path}.values[{i}]", dimension)
                 for i, v in enumerate(values)]
         return sig.StepOfSequence.from_periodic_values(vecs)
     if kind == "rational_periodic":
-        p0 = _as_int(_require(spec, "p0", path), f"{path}.p0")
-        q0 = _as_int(_require(spec, "q0", path), f"{path}.q0")
-        if p0 <= 0 or q0 <= 0:
-            raise ValidationError(path, "p0 and q0 must be positive")
-        samples = _require(spec, "samples", path)
+        p0 = _as_int(_require(spec, "p0", path), f"{path}.p0", low=1)
+        q0 = _as_int(_require(spec, "q0", path), f"{path}.q0", low=1)
+        samples = _as_list(_require(spec, "samples", path), f"{path}.samples")
         vecs = [_as_vector(v, f"{path}.samples[{i}]", dimension)
                 for i, v in enumerate(samples)]
         return sig.RationalPeriodic.from_samples(p0, q0, vecs)
@@ -151,9 +162,7 @@ def build_signal(spec, dimension: int, path: str = "forcing") -> sig.Signal:
             _as_vector(_require(spec, "amplitude", path), f"{path}.amplitude",
                        dimension))
     if kind == "sum":
-        parts = _require(spec, "parts", path)
-        if not isinstance(parts, list) or not parts:
-            raise ValidationError(f"{path}.parts", "expected a nonempty array")
+        parts = _as_list(_require(spec, "parts", path), f"{path}.parts")
         return sig.Sum.of(*(build_signal(p, dimension, f"{path}.parts[{i}]")
                             for i, p in enumerate(parts)))
     if kind == "composite":
@@ -171,8 +180,11 @@ def build_signal(spec, dimension: int, path: str = "forcing") -> sig.Signal:
                                         _as_number(_require(outer, "offset", f"{path}.outer"), f"{path}.outer.offset")),
                                        inner)
                 if tag == "poly":
-                    coeffs = _require(outer, "coeffs", f"{path}.outer")
-                    return sig.compose(("poly", *coeffs), inner)
+                    coeffs = _as_list(_require(outer, "coeffs", f"{path}.outer"),
+                                      f"{path}.outer.coeffs")
+                    return sig.compose(
+                        ("poly", *(_as_number(c, f"{path}.outer.coeffs[{i}]")
+                                   for i, c in enumerate(coeffs))), inner)
                 raise ValidationError(f"{path}.outer", f"unsupported outer map {tag!r}")
         except ValueError as exc:
             raise ValidationError(f"{path}.outer", str(exc)) from exc
@@ -183,7 +195,8 @@ def build_signal(spec, dimension: int, path: str = "forcing") -> sig.Signal:
 @dataclass
 class RunConfig:
     """Validated run configuration (the forcing tree is kept verbatim so
-    configs round-trip exactly)."""
+    configs round-trip exactly; the certificate and scan blocks carry their
+    defaults)."""
 
     dimension: int
     a: np.ndarray
@@ -268,32 +281,50 @@ def config_from_dict(raw: dict) -> RunConfig:
     if "userT" in raw:
         user_t = _as_matrix(raw["userT"], "userT", dim)
 
-    certificate = raw.get("certificate")
-    if certificate is not None:
-        _as_number(_require(certificate, "alpha", "certificate"), "certificate.alpha")
-        _as_number(_require(certificate, "K", "certificate"), "certificate.K")
-        _as_matrix(_require(certificate, "P", "certificate"), "certificate.P", dim)
-        if "coefficients" in certificate:
-            for i, c in enumerate(certificate["coefficients"]):
-                _as_matrix(c, f"certificate.coefficients[{i}]", dim)
+    # the optional blocks are checked here and carry their defaults
+    certificate = None
+    block = raw.get("certificate")
+    if block is not None:
+        certificate = {
+            "alpha": _as_number(_require(block, "alpha", "certificate"),
+                                "certificate.alpha"),
+            "K": _as_number(_require(block, "K", "certificate"), "certificate.K"),
+            "P": _as_matrix(_require(block, "P", "certificate"), "certificate.P",
+                            dim).tolist(),
+            "window": _as_int(block.get("window", CERTIFICATE_WINDOW),
+                              "certificate.window", low=1)}
+        if "coefficients" in block:
+            certificate["coefficients"] = [
+                _as_matrix(c, f"certificate.coefficients[{i}]", dim).tolist()
+                for i, c in enumerate(_as_list(block["coefficients"],
+                                               "certificate.coefficients"))]
 
     scan = raw.get("scan")
     if scan is not None:
-        _as_number(_require(scan, "epsilon", "scan"), "scan.epsilon")
-        _as_int(_require(scan, "shift_range", "scan"), "scan.shift_range")
+        for key in ("epsilon", "shift_range"):
+            _require(scan, key, "scan")
+        scan = {**SCAN_DEFAULTS, **scan}
+        for key in ("epsilon", "window", "grid_step"):
+            scan[key] = _as_number(scan[key], f"scan.{key}", positive=True)
+        scan["shift_range"] = _as_int(scan["shift_range"], "scan.shift_range", low=1)
+        if not isinstance(scan["integer_shifts_only"], bool):
+            raise ValidationError("scan.integer_shifts_only", "expected true or false")
+        if scan["target"] not in SCAN_TARGETS:
+            raise ValidationError("scan.target", f"must be one of {SCAN_TARGETS}")
 
     period = None
     if "period" in raw:
         pr = raw["period"]
         if not isinstance(pr, list) or len(pr) != 2:
             raise ValidationError("period", "expected [p0, q0]")
-        period = (_as_int(pr[0], "period[0]"), _as_int(pr[1], "period[1]"))
-        if period[0] <= 0 or period[1] <= 0:
-            raise ValidationError("period", "p0 and q0 must be positive")
+        period = (_as_int(pr[0], "period[0]", low=1), _as_int(pr[1], "period[1]", low=1))
 
     output = raw.get("output", {})
     if not isinstance(output, dict):
         raise ValidationError("output", "expected an object")
+    for key in ("trajectory_csv", "report"):
+        if key in output and (not isinstance(output[key], str) or not output[key]):
+            raise ValidationError(f"output.{key}", "expected a nonempty file name")
 
     return RunConfig(dim, a, b, forcing_spec, n0, n1, tol, dt, mode, seed,
                      user_t, certificate, scan, period, dict(output))
@@ -472,23 +503,19 @@ def _certificate_from_config(config: RunConfig, system: DepcaSystem):
     """(difference system, certificate) from the config's certificate block,
     deriving C from the hybrid reduction when no coefficients are given."""
     block = config.certificate
-    alpha = float(block["alpha"])
-    k_const = float(block["K"])
-    proj = _as_matrix(block["P"], "certificate.P", config.dimension)
 
     def zero_h(n: int) -> np.ndarray:
         return np.zeros(config.dimension, dtype=complex)
 
     if "coefficients" in block:
-        mats = [_as_matrix(c, "certificate.coefficients", config.dimension)
-                for c in block["coefficients"]]
-        dsys = DifferenceSystem.periodic(mats, zero_h)
+        dsys = DifferenceSystem.periodic(
+            [np.array(c) for c in block["coefficients"]], zero_h)
         constant = None
     else:
         dsys = reduce_to_difference(system, quad_tol_for(config.tol))
         constant = dsys.constant_coefficient
-    cert = DichotomyCertificate(alpha, k_const, proj, build_fundamental(dsys),
-                                constant)
+    cert = DichotomyCertificate(block["alpha"], block["K"], np.array(block["P"]),
+                                build_fundamental(dsys), constant)
     return dsys, cert
 
 
@@ -496,8 +523,7 @@ def _run_verify(config: RunConfig, report: Report) -> int:
     exit_code = 0
     if config.certificate is not None:
         dsys, cert = _certificate_from_config(config, config.system())
-        window = int(config.certificate.get("window", 20))
-        cert_report = verify_certificate(dsys, cert, window)
+        cert_report = verify_certificate(dsys, cert, config.certificate["window"])
         report.note(str(cert_report))
         report.set("certificate_pass", cert_report.passed)
         report.set("worst_decay_margin", cert_report.worst_decay_margin)
@@ -526,14 +552,12 @@ def _run_dichotomy(config: RunConfig, report: Report) -> int:
     system = config.system()
     if config.certificate is not None:
         dsys, cert = _certificate_from_config(config, system)
-        window = int(config.certificate.get("window", 20))
-        cert_report = verify_certificate(dsys, cert, window)
-        passed = cert_report.passed
+        window = config.certificate["window"]
     else:
         dsys = reduce_to_difference(system, quad_tol_for(config.tol))
         cert = certify_constant(dsys.constant_coefficient)
-        cert_report = verify_certificate(dsys, cert, 20)
-        passed = cert_report.passed
+        window = CERTIFICATE_WINDOW
+    cert_report = verify_certificate(dsys, cert, window)
 
     green = cert.green_function()
     report.note("decay table: d, |G(d,0)|, K e^{-alpha|d|}")
@@ -545,34 +569,29 @@ def _run_dichotomy(config: RunConfig, report: Report) -> int:
     report.set("K", cert.K)
     report.set("projection_rank", int(round(float(np.trace(cert.projection).real))))
     report.set("worst_decay_margin", cert_report.worst_decay_margin)
-    report.set("certificate_pass", passed)
-    if not passed:
+    report.set("certificate_pass", cert_report.passed)
+    if not cert_report.passed:
         report.set("failed_invariant", cert_report.failed_invariant)
         return 2
     return 0
 
 
 def _run_scan(config: RunConfig, report: Report) -> int:
-    block = config.scan or {}
-    epsilon = float(block.get("epsilon", 0.1))
-    shift_range = int(block.get("shift_range", 20))
-    integer_only = bool(block.get("integer_shifts_only", True))
-    radius = float(block.get("window", 10.0))
-    target_name = block.get("target", "forcing")
-    if target_name == "solution":
-        system = config.system()
-        target = solve_bounded_depca(system, config.n0, config.n1, config.tol)
+    block = config.scan or SCAN_DEFAULTS
+    if block["target"] == "solution":
+        target = solve_bounded_depca(config.system(), config.n0, config.n1,
+                                     config.tol)
         window = None
     else:
         target = config.forcing_signal()
-        window = (-radius, radius)
+        window = (-block["window"], block["window"])
     scan_report = diag.almost_period_scan(
-        target, epsilon, shift_range, integer_only, window,
-        grid_step=float(block.get("grid_step", 1e-2)))
+        target, block["epsilon"], block["shift_range"],
+        block["integer_shifts_only"], window, grid_step=block["grid_step"])
     report.note(str(scan_report))
     for s, dev in zip(scan_report.tested_shifts, scan_report.deviations):
         report.note(f"  shift {s:+g}: deviation {dev:.6e}")
-    report.set("epsilon", epsilon)
+    report.set("epsilon", block["epsilon"])
     report.set("shifts_tested", len(scan_report.tested_shifts))
     report.set("shifts_passing", len(scan_report.passing_shifts))
     report.set("relative_density", scan_report.relative_density)

@@ -7,6 +7,11 @@ companion difference equation x(n+1) = C x(n) + h(n) with C = Z(n+1, n),
 which is solved under exponential dichotomy; segments are then evaluated
 with the same propagation formula, never with a time-stepping integrator.
 
+Every quadrature of the forcing is one kernel integral, integral_0^L
+e^{M sigma} g(sigma) d sigma (``kernel_integral``): M = A gives the forcing
+accumulated on [n, n+u], the Schur blocks of a hyperbolic A give the two
+half-lines of Massera's formula.
+
 Trajectory construction is two-phase: integer samples first (sequential),
 then segment evaluation, which only reads immutable phase-one data.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,7 +59,8 @@ from .matrix_core import (
 )
 from .tolerances import DEFAULT
 
-_GL_NODES, _GL_WEIGHTS = sig.GL_NODES, sig.GL_WEIGHTS
+_GL_WEIGHTS = sig.GL_WEIGHTS
+_GL_UNIT = 0.5 * (1.0 + sig.GL_NODES)  # the nodes as fractions of [0, 1]
 
 
 def _u_key(u: float) -> float:
@@ -92,19 +99,20 @@ class DepcaSystem:
             self._eigs = eigenvalues(self.a)
         return self._eigs
 
+    @functools.cached_property
+    def kernel(self) -> "Kernel":
+        """The kernel of A; it reads the e^{Au} that ``integral_block`` forms."""
+        return Kernel(self.a, self._exp_cache)
+
     def exp_a(self, u: float) -> np.ndarray:
-        key = _u_key(u)
-        if key not in self._exp_cache:
-            self._exp_cache[key] = expm(self.a, u)
-        return self._exp_cache[key]
+        return self.kernel.exp(u)
 
     def integral_block(self, u: float) -> np.ndarray:
         """integral_0^u e^{As} ds, cached by u."""
         key = _u_key(u)
         if key not in self._int_cache:
-            e, integ = expm_integral(self.a, np.eye(self.dimension), u)
-            self._exp_cache.setdefault(key, e)
-            self._int_cache[key] = integ
+            self._exp_cache[key], self._int_cache[key] = expm_integral(
+                self.a, np.eye(self.dimension), u)
         return self._int_cache[key]
 
 
@@ -123,25 +131,72 @@ def propagator(system: DepcaSystem, t: float, tau: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Legendre quadrature for vector integrands
+# the kernel integral: integral_0^L e^{M sigma} g(sigma) d sigma
+
+# Entries of one kernel's cache: a dense grid repeats its fractional u in
+# every interval, and a periodicity check at step 1e-3 keeps about 2,600.
+_KERNEL_CACHE_SIZE = 4096
 
 
-def adaptive_gl(panel: Callable[[float, float], np.ndarray], a: float, b: float,
-                tol: float) -> np.ndarray:
-    """Adaptive Gauss-Legendre: bisect until the refinement stops moving,
-    at most ``DEFAULT.quad_max_levels`` levels deep.
+class Kernel:
+    """e^{M tau} and the Gauss-Legendre node stacks of one matrix M, in one
+    cache keyed by the rounded tau or width, least recently used out.
+    ``known`` maps rounded tau to e^{M tau} formed elsewhere (read only)."""
 
-    ``panel(lo, hi)`` is the 10-point Gauss-Legendre estimate on [lo, hi].
+    def __init__(self, matrix: np.ndarray, known: dict | None = None):
+        self.matrix = matrix
+        self._known = {} if known is None else known
+        self._cache: OrderedDict = OrderedDict()
+
+    def _cached(self, key, make: Callable[..., np.ndarray], *args) -> np.ndarray:
+        cache = self._cache
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = make(*args)
+            if len(cache) > _KERNEL_CACHE_SIZE:
+                cache.popitem(last=False)
+        else:
+            cache.move_to_end(key)
+        return value
+
+    def exp(self, tau: float) -> np.ndarray:
+        key = _u_key(tau)
+        known = self._known.get(key)
+        if known is not None:
+            return known
+        return self._cached(key, expm, self.matrix, key)
+
+    def stack(self, width: float) -> np.ndarray:
+        """w_k e^{M width u_k} for the 10 Gauss-Legendre nodes at the
+        fractions u_k of a panel of this width."""
+        key = _u_key(width)
+        return self._cached(("gl10", key), lambda: np.stack(
+            [w * expm(self.matrix, key * u) for u, w in zip(_GL_UNIT, _GL_WEIGHTS)]))
+
+
+def adaptive_gl(kernel: Kernel, g: Callable[[float, float], np.ndarray],
+                a: float, b: float, tol: float) -> np.ndarray:
+    """J(a, b) = integral_a^b e^{M (sigma - a)} g(sigma) d sigma for the
+    kernel M; ``g(lo, width)`` gives one row of values per node
+    lo + width u_k of a panel.
+
+    A panel is the 10-point Gauss-Legendre rule against the stack of its
+    width, and halves join by J(lo, hi) = J(lo, mid) + e^{M (mid - lo)}
+    J(mid, hi).  Bisect until the refinement stops moving, at most
+    ``DEFAULT.quad_max_levels`` levels deep.
     """
-    if b <= a:
-        return 0.0 * panel(a, a)
+
+    def panel(lo: float, hi: float) -> np.ndarray:
+        width = hi - lo
+        return 0.5 * width * np.einsum("kij,kj->i", kernel.stack(width), g(lo, width))
 
     def recurse(lo: float, hi: float, whole: np.ndarray, budget: float,
                 level: int) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         left = panel(lo, mid)
         right = panel(mid, hi)
-        refined = left + right
+        step = kernel.exp(mid - lo)
+        refined = left + step @ right
         err = sup_norm(refined - whole)
         if err <= budget:
             return refined
@@ -152,9 +207,40 @@ def adaptive_gl(panel: Callable[[float, float], np.ndarray], a: float, b: float,
             )
         half_budget = 0.5 * budget
         return (recurse(lo, mid, left, half_budget, level + 1)
-                + recurse(mid, hi, right, half_budget, level + 1))
+                + step @ recurse(mid, hi, right, half_budget, level + 1))
 
     return recurse(a, b, panel(a, b), tol, 0)
+
+
+def kernel_integral(kernel: Kernel, signal: sig.Signal, t: float, length: float,
+                    tol: float, direction: float = 1.0,
+                    right: np.ndarray | None = None) -> np.ndarray:
+    """integral_0^length e^{M sigma} R f(t - d sigma) d sigma for the kernel
+    M, f = ``signal``, d = ``direction`` and R = ``right`` (None for I).
+
+    Cells end where t - d sigma is an integer or a breakpoint of f; each
+    cell [c0, c1] adds e^{M c0} J(c0, c1) from ``adaptive_gl`` under an equal
+    share of ``tol``.
+    """
+    a, b = sorted((t, t - direction * length))
+    jumps = [*range(math.ceil(a), math.floor(b) + 1), *signal.breakpoints_in(a, b)]
+    cuts = sorted({0.0, length, *(c for c in (direction * (t - s) for s in jumps)
+                                  if 0.0 < c < length)})
+
+    def g(lo: float, width: float) -> np.ndarray:
+        values = signal.evaluate_grid((t - direction * lo) - direction * width * _GL_UNIT)
+        return values if right is None else values @ right.T
+
+    budget = tol / (len(cuts) - 1)
+    try:
+        total = adaptive_gl(kernel, g, cuts[0], cuts[1], budget)
+        start = kernel.exp(0.0)  # e^{M c0} at the start c0 of the current cell
+        for prev, c0, c1 in zip(cuts, cuts[1:], cuts[2:]):
+            start = start @ kernel.exp(c0 - prev)
+            total = total + start @ adaptive_gl(kernel, g, c0, c1, budget)
+    except QuadratureError as exc:
+        raise QuadratureError(f"forcing on [{a:.6g}, {b:.6g}], {exc}") from exc
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -186,26 +272,14 @@ def _trig_kernel(system: DepcaSystem, u: float, omega: float) -> np.ndarray | No
     return kernel
 
 
-def _gl_stack(system: DepcaSystem, width: float) -> np.ndarray:
-    """half w_k e^{A half (1 - x_k)} for the 10 Gauss-Legendre nodes x_k of a
-    panel of this width (half = width / 2), stacked and cached by width."""
-    key = ("gl10", _u_key(width))
-    if key not in system._exp_cache:
-        half = 0.5 * width
-        system._exp_cache[key] = np.stack(
-            [half * w * expm(system.a, half * (1.0 - x))
-             for x, w in zip(_GL_NODES, _GL_WEIGHTS)])
-    return system._exp_cache[key]
-
-
 def interval_forcing(system: DepcaSystem, n: int, u: float, quad_tol: float
                      ) -> np.ndarray:
     """integral_n^{n+u} e^{A(n+u-s)} f(s) ds for 0 <= u <= 1.
 
     Signals constant on [n, n+1) integrate through the exponential-integral
     block; trigonometric terms use the resolvent closed form away from
-    resonance; everything else (and near-resonant terms) goes through
-    adaptive Gauss-Legendre split at the signal's breakpoints.
+    resonance; everything else (and near-resonant terms) is the kernel
+    integral of e^{A sigma} f(n + u - sigma) over [0, u].
     """
     if u <= 0.0:
         return np.zeros(system.dimension, dtype=complex)
@@ -215,38 +289,18 @@ def interval_forcing(system: DepcaSystem, n: int, u: float, quad_tol: float
     if const is not None:
         return system.integral_block(u) @ const
 
-    def quad_for(term_signal: sig.Signal) -> np.ndarray:
-        t_end = n + u
-
-        def panel(lo: float, hi: float) -> np.ndarray:
-            # e^{A(t_end - s)} = e^{A(t_end - hi)} e^{A(hi - s)}: the second
-            # factor depends only on the panel width and the node
-            width = hi - lo
-            nodes = 0.5 * (lo + hi) + 0.5 * width * _GL_NODES
-            inner = np.einsum("kij,kj->i", _gl_stack(system, width),
-                              term_signal.evaluate_grid(nodes))
-            return system.exp_a(t_end - hi) @ inner
-
-        cuts = [n, *(x for x in term_signal.breakpoints_in(n, t_end)), t_end]
-        total = np.zeros(system.dimension, dtype=complex)
-        budget = quad_tol / max(1, len(cuts) - 1)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            total = total + adaptive_gl(panel, lo, hi, budget)
-        return total
-
     terms = f.trig_terms()
-    if terms is not None:
-        out = np.zeros(system.dimension, dtype=complex)
-        for coef, omega in terms:
-            kernel = _trig_kernel(system, u, omega)
-            if kernel is None:
-                out = out + quad_for(sig.TrigPolynomial(((coef, omega),),
-                                                        system.dimension))
-            else:
-                out = out + np.exp(1j * omega * n) * (kernel @ coef)
-        return out
-
-    return quad_for(f)
+    if terms is None:
+        return kernel_integral(system.kernel, f, n + u, u, quad_tol)
+    out = np.zeros(system.dimension, dtype=complex)
+    for coef, omega in terms:
+        kernel = _trig_kernel(system, u, omega)
+        if kernel is None:
+            term = sig.TrigPolynomial(((coef, omega),), system.dimension)
+            out = out + kernel_integral(system.kernel, term, n + u, u, quad_tol)
+        else:
+            out = out + np.exp(1j * omega * n) * (kernel @ coef)
+    return out
 
 
 def forcing_integral(system: DepcaSystem, t: float, quad_tol: float) -> np.ndarray:
@@ -545,8 +599,8 @@ def solve_bounded_depca(system: DepcaSystem, n0: int, n1: int, tol: float
 
 @dataclass
 class _HalfLine:
-    """One side of Massera's formula,
-    L integral_0^radius e^{M sigma} R f(t - d sigma) d sigma.
+    """One side of Massera's formula, L times the kernel integral
+    integral_0^radius e^{M sigma} R f(t - d sigma) d sigma.
 
     From the ordered Schur form A = U [[T11, T12], [0, T22]] U*, U = [U1 U2],
     with T11 X - X T22 = T12: the stable side has M = T11, L = U1,
@@ -555,51 +609,18 @@ class _HalfLine:
     """
 
     name: str
-    kernel: np.ndarray
+    kernel: Kernel
     left: np.ndarray
     right: np.ndarray
     direction: float
     budget: float
 
-    def __post_init__(self):
-        # bounded caches, least recently used out: the keys of whole cells
-        # recur in every call, only those of shorter cells can be new
-        self._exp = functools.lru_cache(maxsize=256)(self._exp)
-        self._stack = functools.lru_cache(maxsize=64)(self._stack)
-
-    def _exp(self, tau: float) -> np.ndarray:
-        """e^{M tau} at a rounded tau."""
-        return expm(self.kernel, tau)
-
-    def _stack(self, width: float) -> np.ndarray:
-        """half w_k e^{M half (1 + x_k)} for the 10 nodes of a panel of this
-        rounded width, half = width / 2."""
-        half = 0.5 * width
-        return np.stack([half * w * self._exp(_u_key(half * (1.0 + x)))
-                         for x, w in zip(_GL_NODES, _GL_WEIGHTS)])
-
     def integral(self, forcing: sig.Signal, t: float, radius: float) -> np.ndarray:
         d = self.direction
-        # cells in sigma end where t - d sigma is an integer or a breakpoint;
         # the far end moves out to the next integer, so the last cell is whole
         far = d * math.floor(d * (t - d * radius))
-        a, b = sorted((t, far))
-        jumps = [*range(math.ceil(a), math.floor(b) + 1), *forcing.breakpoints_in(a, b)]
-        cuts = sorted({0.0, *(d * (t - s) for s in jumps if d * (t - s) > 0.0)})
-        budget = self.budget / (len(cuts) - 1)
-        inner = 0.0
-        start = self._exp(0.0)  # e^{M c0} at the start c0 of the current cell
-        for c0, c1 in zip(cuts[:-1], cuts[1:]):
-            def panel(lo: float, hi: float, c0=c0, start=start) -> np.ndarray:
-                # e^{M sigma_k} = e^{M c0} e^{M (lo - c0)} e^{M (sigma_k - lo)}
-                sigmas = lo + 0.5 * (hi - lo) * (1.0 + _GL_NODES)
-                values = forcing.evaluate_grid(t - d * sigmas) @ self.right.T
-                return start @ self._exp(_u_key(lo - c0)) @ np.einsum(
-                    "kij,kj->i", self._stack(_u_key(hi - lo)), values)
-
-            inner = inner + adaptive_gl(panel, c0, c1, budget)
-            start = start @ self._exp(_u_key(c1 - c0))
-        return self.left @ inner
+        return self.left @ kernel_integral(self.kernel, forcing, t, d * (t - far),
+                                           self.budget, d, self.right)
 
 
 @dataclass
@@ -608,9 +629,8 @@ class MasseraSolution:
 
     x(t) = integral_0^inf e^{A s} P f(t - s) ds
            - integral_0^inf e^{-A s} Q f(t + s) ds,
-    each side truncated at ``radius`` and integrated by adaptive
-    Gauss-Legendre panels split at the integers and at the signal's
-    breakpoints, with kernels from the ordered Schur form of A.
+    each side a kernel integral truncated at ``radius``, with its kernel
+    from the ordered Schur form of A.
     """
 
     a: np.ndarray
@@ -656,7 +676,8 @@ def massera_solve(a, forcing: sig.Signal, tol: float) -> MasseraSolution:
         sides.append(("stable", tri[:k, :k], u1, u1.conj().T + x @ u2.conj().T, 1.0))
     if k < p:
         sides.append(("unstable", -tri[k:, k:], u1 @ x - u2, u2.conj().T, -1.0))
-    sides = tuple(_HalfLine(name, m, left, right, d, 0.5 * tol / mat_norm(left))
+    sides = tuple(_HalfLine(name, Kernel(m), left, right, d,
+                            0.5 * tol / mat_norm(left))
                   for name, m, left, right, d in sides)
 
     decay = DEFAULT.alpha_safety * min(split.decay_rate_stable,
@@ -664,7 +685,7 @@ def massera_solve(a, forcing: sig.Signal, tol: float) -> MasseraSolution:
     # K = max over the sides of sup_j ||L e^{M j/2} R|| e^{decay j/2},
     # the powers of N = e^{decay/2} L e^{M/2} R times L R, as R L = +-I
     k_big = max(power_sup(math.exp(0.5 * decay) * side.left
-                          @ side._exp(0.5) @ side.right,
+                          @ side.kernel.exp(0.5) @ side.right,
                           side.left @ side.right) for side in sides)
 
     def radius_for(sup_f: float) -> float:

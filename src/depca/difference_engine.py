@@ -5,7 +5,7 @@ verified for arbitrary ones.  For constant C the dichotomy is the pair of
 contractive steps CP and C^-1 Q held by ``GreenFunction``: K is the exact
 supremum of their scaled powers, and the bounded solution is one forward and
 one backward sweep with them, truncated with an explicit geometric tail
-bound.  A direct one-sided summation oracle is kept for cross-checks.
+bound.
 
 Certificates and systems are immutable once built; caches are populated
 lazily and are safe under CPython's sequential test usage.
@@ -398,47 +398,3 @@ def bound_check(x: np.ndarray, cert: DichotomyCertificate, sup_forcing: float,
     sup_x = float(np.max(np.abs(x))) if x.size else 0.0
     bound = cert.solution_bound(sup_forcing)
     return BoundReport(sup_x, bound, sup_x <= bound + slack, cert.alpha, cert.K)
-
-
-def oracle_direct_sum(c, h: Callable[[int], np.ndarray], n0: int, n1: int,
-                      term_floor: float = 1e-14) -> np.ndarray:
-    """Brute-force one-sided series for purely stable or purely unstable C.
-
-    Stable spectrum sums the causal branch sum_{k<=n-1} C^{n-1-k} h(k);
-    unstable spectrum sums the anti-causal branch -sum_{k>=n} C^{n-1-k} h(k).
-    Terms are added until they drop below ``term_floor``.  Mixed spectra are
-    refused: this oracle exists to cross-check the Green-series solver on
-    cases simple enough to sum directly.
-    """
-    c = as_square_matrix(c, "C")
-    moduli = np.abs(eigenvalues(c))
-    if np.all(moduli < 1.0):
-        stable = True
-    elif np.all(moduli > 1.0):
-        stable = False
-    else:
-        raise ValueError("oracle only handles purely stable or purely unstable spectra")
-
-    p = c.shape[0]
-    out = np.zeros((n1 - n0 + 1, p), dtype=complex)
-    c_inv = np.linalg.solve(c, np.eye(p))
-    for i, n in enumerate(range(n0, n1 + 1)):
-        acc = np.zeros(p, dtype=complex)
-        if stable:
-            power = np.eye(p)
-            for j in range(10000):
-                term = power @ np.atleast_1d(np.asarray(h(n - 1 - j), dtype=complex))
-                acc = acc + term
-                power = power @ c
-                if sup_norm(term) < term_floor and j > 2:
-                    break
-        else:
-            power = c_inv.copy()
-            for j in range(10000):
-                term = power @ np.atleast_1d(np.asarray(h(n + j), dtype=complex))
-                acc = acc - term
-                power = power @ c_inv
-                if sup_norm(term) < term_floor and j > 2:
-                    break
-        out[i] = acc
-    return out

@@ -128,7 +128,7 @@ class TrigPolynomial(Signal):
             return np.zeros((ts.size, self.dimension), dtype=complex)
         omegas = np.array([w for _, w in self.terms])
         coefs = np.stack([c for c, _ in self.terms])
-        return np.exp(1j * np.outer(ts, omegas)) @ coefs
+        return np.einsum("tk,kp->tp", np.exp(1j * np.outer(ts, omegas)), coefs)
 
     def shift(self, s: int) -> "TrigPolynomial":
         return TrigPolynomial(

@@ -162,3 +162,86 @@ def test_emit_config_round_trips():
             np.testing.assert_array_equal(got, want)
         else:
             assert got == want, f.name
+
+
+COS_1D = {"kind": "cos", "coefficient": [1.0], "omega": 1.0}
+SCAN = {"epsilon": 1e-6, "shift_range": 3}
+CERTIFICATE = {"alpha": 0.1, "K": 3.0, "P": [[1.0, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("change,path", [
+    pytest.param({"scan": dict(SCAN, grid_step=0)}, "scan.grid_step", id="grid-step-0"),
+    pytest.param({"scan": dict(SCAN, grid_step=-0.1)}, "scan.grid_step",
+                 id="grid-step-negative"),
+    pytest.param({"scan": dict(SCAN, window="x")}, "scan.window", id="scan-window-text"),
+    pytest.param({"scan": dict(SCAN, shift_range=0)}, "scan.shift_range",
+                 id="shift-range-0"),
+    pytest.param({"scan": dict(SCAN, target="bogus")}, "scan.target", id="target-bogus"),
+    pytest.param({"scan": dict(SCAN, integer_shifts_only="yes")},
+                 "scan.integer_shifts_only", id="integer-shifts-text"),
+    pytest.param({"certificate": dict(CERTIFICATE, window=0)}, "certificate.window",
+                 id="certificate-window-0"),
+    pytest.param({"certificate": dict(CERTIFICATE, window="a")}, "certificate.window",
+                 id="certificate-window-text"),
+    pytest.param({"certificate": dict(CERTIFICATE, coefficients=[])},
+                 "certificate.coefficients", id="coefficients-empty"),
+    pytest.param({"certificate": dict(CERTIFICATE, coefficients=5)},
+                 "certificate.coefficients", id="coefficients-number"),
+    pytest.param({"output": {"report": 5}}, "output.report", id="report-number"),
+    pytest.param({"forcing": {"kind": "composite", "outer": {"kind": "poly", "coeffs": 3},
+                              "inner": COS_1D}}, "forcing.outer.coeffs", id="poly-number"),
+    pytest.param({"forcing": {"kind": "rational_periodic", "p0": 1, "q0": 1,
+                              "samples": []}}, "forcing.samples", id="samples-empty"),
+    pytest.param({"forcing": {"kind": "trig", "terms": [5]}}, "forcing.terms[0]",
+                 id="trig-term-number"),
+])
+def test_malformed_optional_field_is_a_config_error(tmp_path, capsys, change, path):
+    config = dict(CONFIG, system={"dimension": 1, "A": [[-1.0]], "B": [[0.2]]},
+                  forcing=COS_1D, mode="scan")
+    if "certificate" in change:
+        config["system"] = CONFIG["system"]
+        config["forcing"] = CONFIG["forcing"]
+        config["mode"] = "dichotomy"
+    config.update(change)
+    assert run_cli(tmp_path, config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ")
+    assert "Traceback" not in err
+
+
+def test_dichotomy_mode_reports_a_certified_decay_table(tmp_path):
+    assert run_cli(tmp_path, dict(CONFIG, mode="dichotomy")) == 0
+    report = tmp_path / "dichotomy_report.txt"
+    assert report_value(report, "certificate_pass") == "true"
+
+    config = cli.config_from_dict(CONFIG)
+    c = reduce_to_difference(config.system(), 1e-11).constant_coefficient
+    moduli = np.abs(np.linalg.eigvals(c))
+    assert int(report_value(report, "projection_rank")) == np.sum(moduli < 1.0) == 1
+    alpha = float(report_value(report, "alpha"))
+    assert alpha == pytest.approx(0.9 * np.min(np.abs(np.log(moduli))), rel=1e-9)
+
+    lines = report.read_text().splitlines()
+    start = lines.index("decay table: d, |G(d,0)|, K e^{-alpha|d|}") + 1
+    rows = [line.split() for line in lines[start:start + 41]]
+    assert [int(r[0]) for r in rows] == list(range(-20, 21))
+    for _, actual, bound in rows:
+        assert float(actual) <= float(bound)
+
+
+def test_scan_mode_finds_the_integer_periods_of_the_solution(tmp_path):
+    # f = cos(4 pi t / 3) has period 3/2, so the solution has integer period 3
+    config = dict(CONFIG, mode="scan",
+                  system={"dimension": 1, "A": [[-1.0]], "B": [[0.2]]},
+                  forcing={"kind": "cos", "coefficient": [1.0],
+                           "omega": 4.0 * np.pi / 3.0},
+                  scan={"epsilon": 1e-6, "shift_range": 3, "grid_step": 0.05,
+                        "target": "solution"})
+    assert run_cli(tmp_path, config) == 0
+    report = tmp_path / "scan_report.txt"
+    deviations = {float(line.split()[1].rstrip(":")): float(line.split()[3])
+                  for line in report.read_text().splitlines()
+                  if line.startswith("  shift ")}
+    assert sorted(deviations) == [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+    assert sorted(s for s, dev in deviations.items() if dev < 1e-6) == [-3.0, 0.0, 3.0]
+    assert report_value(report, "shifts_passing") == "3"

@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.linalg
 
 from depca import depca_engine
 from depca import diagnostics as diag
@@ -209,6 +210,31 @@ class TestPanelQuadrature:
         monkeypatch.setattr(depca_engine, "expm", counting)
         interval_forcing(system, 7, 1.0, 1e-11)
         assert 5 * len(calls) <= per_node_calls
+
+
+class TestOneKernelIntegral:
+    """h(n) and Massera's half-lines come from the same kernel integral."""
+
+    @pytest.mark.parametrize("kind", ["aa", "rational"])
+    def test_massera_samples_obey_the_companion_step(self, kind):
+        # for B = 0 the companion step is x(n+1) = e^A x(n) + h(n)
+        forcing = panel_system(kind).forcing
+        sol = massera_solve(PANEL_A, forcing, 1e-9)
+        system = DepcaSystem.build(PANEL_A, np.zeros((2, 2)), forcing)
+        e_a = scipy.linalg.expm(PANEL_A)
+        for n in (-3, 0, 7):
+            h = interval_forcing(system, n, 1.0, 1e-11)
+            assert sup_err(sol.evaluate(n + 1), e_a @ sol.evaluate(n) + h) <= 1e-9
+
+    def test_stack_cache_stays_bounded_on_fresh_points(self, monkeypatch):
+        monkeypatch.setattr(depca_engine, "_KERNEL_CACHE_SIZE", 64)
+        system = panel_system("rational")
+        traj = solve_bounded_depca(system, -2, 2, 1e-9)
+        for t in np.random.default_rng(0).uniform(-2, 2, 200):
+            traj.evaluate(t)
+            assert len(system.kernel._cache) <= 64
+        # e^{Au} from the propagator only: no stacks among the u-keyed entries
+        assert all(isinstance(key, float) for key in system._exp_cache)
 
 
 class TestReduceToDifference:

@@ -1,5 +1,7 @@
 """Tests for dichotomy certificates, Green functions and the bounded series."""
 
+from typing import Callable
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from depca.difference_engine import (
     bound_check,
     build_fundamental,
     certify_constant,
-    oracle_direct_sum,
     recursion_residual,
     solve_bounded,
     verify_certificate,
@@ -22,7 +23,51 @@ from depca.errors import (
     InvalidCertificateError,
     SingularCoefficientError,
 )
-from depca.matrix_core import mat_norm
+from depca.matrix_core import as_square_matrix, eigenvalues, mat_norm, sup_norm
+
+
+def oracle_direct_sum(c, h: Callable[[int], np.ndarray], n0: int, n1: int,
+                      term_floor: float = 1e-14) -> np.ndarray:
+    """Brute-force one-sided series for purely stable or purely unstable C.
+
+    Stable spectrum sums the causal branch sum_{k<=n-1} C^{n-1-k} h(k);
+    unstable spectrum sums the anti-causal branch -sum_{k>=n} C^{n-1-k} h(k).
+    Terms are added until they drop below ``term_floor``.  Mixed spectra are
+    refused: this oracle exists to cross-check the Green-series solver on
+    cases simple enough to sum directly.
+    """
+    c = as_square_matrix(c, "C")
+    moduli = np.abs(eigenvalues(c))
+    if np.all(moduli < 1.0):
+        stable = True
+    elif np.all(moduli > 1.0):
+        stable = False
+    else:
+        raise ValueError("oracle only handles purely stable or purely unstable spectra")
+
+    p = c.shape[0]
+    out = np.zeros((n1 - n0 + 1, p), dtype=complex)
+    c_inv = np.linalg.solve(c, np.eye(p))
+    for i, n in enumerate(range(n0, n1 + 1)):
+        acc = np.zeros(p, dtype=complex)
+        if stable:
+            power = np.eye(p)
+            for j in range(10000):
+                term = power @ np.atleast_1d(np.asarray(h(n - 1 - j), dtype=complex))
+                acc = acc + term
+                power = power @ c
+                if sup_norm(term) < term_floor and j > 2:
+                    break
+        else:
+            power = c_inv.copy()
+            for j in range(10000):
+                term = power @ np.atleast_1d(np.asarray(h(n + j), dtype=complex))
+                acc = acc - term
+                power = power @ c_inv
+                if sup_norm(term) < term_floor and j > 2:
+                    break
+        out[i] = acc
+    return out
 
 
 def const_h(v):
