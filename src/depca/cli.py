@@ -81,6 +81,13 @@ def _as_number(x, path: str, positive: bool = False) -> float:
     return float(x)
 
 
+def _as_tol(x) -> float:
+    tol = _as_number(x, "solve.tol")
+    if not 0.0 < tol < 1.0:
+        raise ValidationError("solve.tol", "tol must lie in (0, 1)")
+    return tol
+
+
 def _as_list(x, path: str) -> list:
     if not isinstance(x, list) or not x:
         raise ValidationError(path, "expected a nonempty array")
@@ -207,7 +214,6 @@ class RunConfig:
     tol: float
     dt: float
     mode: str
-    seed: int = diag.DEFAULT_SEED
     user_t: np.ndarray | None = None
     certificate: dict | None = None
     scan: dict | None = None
@@ -230,7 +236,6 @@ class RunConfig:
             "forcing": self.forcing_spec,
             "solve": {"n0": self.n0, "n1": self.n1, "tol": self.tol, "dt": self.dt},
             "mode": self.mode,
-            "seed": self.seed,
             "output": dict(self.output),
         }
         if self.user_t is not None:
@@ -265,9 +270,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     n1 = _as_int(_require(solve, "n1", "solve"), "solve.n1")
     if n0 >= n1:
         raise ValidationError("solve.n1", "need n0 < n1")
-    tol = _as_number(_require(solve, "tol", "solve"), "solve.tol")
-    if not 0.0 < tol < 1.0:
-        raise ValidationError("solve.tol", "tol must lie in (0, 1)")
+    tol = _as_tol(_require(solve, "tol", "solve"))
     dt = _as_number(solve.get("dt", 0.01), "solve.dt")
     if not 0.0 < dt <= 1.0:
         raise ValidationError("solve.dt", "dt must lie in (0, 1]")
@@ -276,7 +279,6 @@ def config_from_dict(raw: dict) -> RunConfig:
     if mode not in MODES:
         raise ValidationError("mode", f"must be one of {MODES}")
 
-    seed = _as_int(raw.get("seed", diag.DEFAULT_SEED), "seed")
     user_t = None
     if "userT" in raw:
         user_t = _as_matrix(raw["userT"], "userT", dim)
@@ -326,13 +328,16 @@ def config_from_dict(raw: dict) -> RunConfig:
         if key in output and (not isinstance(output[key], str) or not output[key]):
             raise ValidationError(f"output.{key}", "expected a nonempty file name")
 
-    return RunConfig(dim, a, b, forcing_spec, n0, n1, tol, dt, mode, seed,
-                     user_t, certificate, scan, period, dict(output))
+    return RunConfig(dim, a, b, forcing_spec, n0, n1, tol, dt, mode, user_t,
+                     certificate, scan, period, dict(output))
 
 
 def parse_config(path) -> RunConfig:
     """Load and validate a config file."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -448,7 +453,6 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
     report.set("window_n0", config.n0)
     report.set("window_n1", config.n1)
     report.set("tol", config.tol)
-    report.set("seed", config.seed)
     exit_code = 0
 
     try:
@@ -602,8 +606,16 @@ def _run_scan(config: RunConfig, report: Report) -> int:
 # entry point
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, like every run that could not start."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="depca",
         description="Bounded/periodic solutions of x'(t) = A x(t) + B x([t]) + f(t)",
     )
@@ -611,7 +623,6 @@ def main(argv=None) -> int:
     parser.add_argument("--mode", choices=MODES, help="override the config mode")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--tol", type=float, help="override solve.tol")
-    parser.add_argument("--seed", type=int, help="override the sampling seed")
     parser.add_argument("--quiet", action="store_true", help="suppress stdout report")
     args = parser.parse_args(argv)
 
@@ -620,16 +631,12 @@ def main(argv=None) -> int:
         if args.mode:
             config.mode = args.mode
         if args.tol is not None:
-            if not 0.0 < args.tol < 1.0:
-                raise ValidationError("solve.tol", "tol must lie in (0, 1)")
-            config.tol = args.tol
-        if args.seed is not None:
-            config.seed = args.seed
+            config.tol = _as_tol(args.tol)
         return run(config, args.out, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except DepcaError as exc:
+    except (DepcaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

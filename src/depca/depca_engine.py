@@ -34,6 +34,7 @@ from .difference_engine import (
     power_sup,
     recursion_residual,
     solve_bounded,
+    widen_radius,
 )
 from .errors import (
     BoundaryEigenvalueError,
@@ -43,12 +44,11 @@ from .errors import (
     QuadratureError,
     ResidualCheckError,
     SingularCError,
-    WindowTooSmallError,
     ZInvertibilityError,
 )
 from .matrix_core import (
     as_square_matrix,
-    check_eigenvalue_condition,
+    eigenvalue_pair_failures,
     eigenvalues,
     expm,
     expm_integral,
@@ -330,7 +330,7 @@ def reduce_to_difference(system: DepcaSystem, quad_tol: float) -> DifferenceSyst
     def h(n: int) -> np.ndarray:
         return interval_forcing(system, n, 1.0, quad_tol)
 
-    return DifferenceSystem(system.dimension, lambda n: c, h, c)
+    return DifferenceSystem((c,), h)
 
 
 @dataclass(frozen=True)
@@ -370,24 +370,19 @@ def check_propagator_invertibility(system: DepcaSystem) -> ZInvertibilityReport:
     scan on 201 equally spaced u in [0, 1] runs in every case as the
     general fallback.
     """
-    failures: list[tuple[int, float]] = []
-    analytic = False
     try:
         _, abar, bbar = simultaneous_triangularize(system.a, system.b)
-        analytic = True
-        for i in range(system.dimension):
-            check = check_eigenvalue_condition(abar[i, i], bbar[i, i])
-            if not check.passed:
-                failures.append((i, float(check.u_star)))
     except NotTriangularizableError:
-        pass
+        analytic, failures = False, ()
+    else:
+        analytic, failures = True, eigenvalue_pair_failures(abar, bbar)
 
     us = np.linspace(0.0, 1.0, 201)
     dets = np.array([abs(np.linalg.det(propagator(system, float(u), 0.0)))
                      for u in us])
     i_min = int(np.argmin(dets))
     return ZInvertibilityReport(float(dets[i_min]), float(us[i_min]),
-                                len(us), analytic, tuple(failures),
+                                len(us), analytic, failures,
                                 DEFAULT.det_threshold)
 
 
@@ -436,7 +431,7 @@ class HybridTrajectory:
         return self._segment(n, t)
 
     def evaluate_grid(self, ts) -> np.ndarray:
-        return np.stack([self.evaluate(float(t)) for t in np.asarray(ts, dtype=float)])
+        return sig.stack_points(self.evaluate, ts, self.dimension)
 
     def sup_samples(self) -> float:
         return max(sup_norm(v) for v in self.integer_samples.values())
@@ -651,7 +646,7 @@ class MasseraSolution:
         return total
 
     def evaluate_grid(self, ts) -> np.ndarray:
-        return np.stack([self.evaluate(float(t)) for t in np.asarray(ts, dtype=float)])
+        return sig.stack_points(self.evaluate, ts, self.dimension)
 
 
 def massera_solve(a, forcing: sig.Signal, tol: float) -> MasseraSolution:
@@ -659,11 +654,10 @@ def massera_solve(a, forcing: sig.Signal, tol: float) -> MasseraSolution:
 
     The truncation radius follows the tail bound of the projected semigroup
     norms: R = ln(max(K_P, K_Q) sup|f| / (tol decay)) / decay, with K_P and
-    K_Q taken over sigma = 0, 0.5, 1, ...  sup|f| is the larger of
-    ``forcing.sup_bound()``, for an evaluator-backed signal only the largest
-    value seen so far, and |f| sampled at step 1/16 on [-R-1, R+1],
-    recomputed until R stops growing (WindowTooSmallError if it never
-    does).  Each side gets half of ``tol`` for its quadrature.
+    K_Q taken over sigma = 0, 0.5, 1, ...  sup|f| is the larger of the
+    declared ``forcing.sup_bound()`` and |f| sampled at step 1/16 on
+    [-R-1, R+1], recomputed by ``widen_radius`` until R stops growing.
+    Each side gets half of ``tol`` for its quadrature.
     """
     a = as_square_matrix(a, "A")
     split = spectral_split(a, "continuous")
@@ -693,20 +687,13 @@ def massera_solve(a, forcing: sig.Signal, tol: float) -> MasseraSolution:
                    / decay)
 
     declared = forcing.sup_bound()
-    radius = radius_for(declared)
-    for _ in range(4):
+
+    def sup_within(radius: float) -> float:
         reach = radius + 1.0
         sampled = forcing.evaluate_grid(np.arange(-reach, reach + 1e-9, 1.0 / 16))
-        wider = radius_for(max(declared, float(np.max(np.abs(sampled)))))
-        if wider <= radius:
-            break
-        radius = wider
-    else:
-        raise WindowTooSmallError(
-            f"forcing supremum kept growing while sizing the Massera radius "
-            f"(radius {radius:.6g})"
-        )
+        return max(declared, float(np.max(np.abs(sampled))))
 
+    radius = widen_radius(radius_for, sup_within, radius_for(declared))
     return MasseraSolution(a, forcing, split, radius, p, sides)
 
 
@@ -714,25 +701,28 @@ def massera_solve(a, forcing: sig.Signal, tol: float) -> MasseraSolution:
 # the purely rotational scalar path
 
 
+ROTATION_GRID_STEP = 1e-2  # panel width of the rotation path's primitive table
+
+
 def imaginary_scalar_solve(theta: float, forcing: sig.Signal, x0: complex,
-                           window: float, grid_step: float = 1e-2
+                           window: float
                            ) -> tuple[Callable[[float], np.ndarray],
                                       sig.PrimitiveBoundednessReport]:
     """Scalar x' = i theta x + f by the rotation formula.
 
     x(t) = e^{i theta t} (x0 + F(t)) with F(t) = integral_0^t e^{-i theta s}
     f(s) ds, read from one ``signals.PrimitiveTable`` over
-    [-(window + 1), window + 1]; the evaluator raises ValueError outside that
-    span.  Boundedness of the trajectory reduces to boundedness of F, which
-    ``signals.screen_primitive`` screens on [-window, window] from the same
-    table.
+    [-(window + 1), window + 1] with panels of width ``ROTATION_GRID_STEP``;
+    the evaluator raises ValueError outside that span.  Boundedness of the
+    trajectory reduces to boundedness of F, which ``signals.screen_primitive``
+    screens on [-window, window] from the same table.
     """
     if forcing.dimension != 1:
         raise ValueError("the rotational path is scalar (dimension 1)")
     if window <= 0:
         raise ValueError("window must be positive")
     primitive = sig.PrimitiveTable.build(sig.modulate(forcing, -theta),
-                                         window + 1.0, grid_step)
+                                         window + 1.0, ROTATION_GRID_STEP)
     report = sig.screen_primitive(primitive, window)
 
     def evaluate(t: float) -> np.ndarray:

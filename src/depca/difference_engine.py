@@ -1,7 +1,7 @@
 """Bounded solutions of x(n+1) = C(n) x(n) + h(n) under exponential dichotomy.
 
 Certificates (alpha, K, P, Y) are constructed for constant coefficients and
-verified for arbitrary ones.  For constant C the dichotomy is the pair of
+verified for periodic ones.  For constant C the dichotomy is the pair of
 contractive steps CP and C^-1 Q held by ``GreenFunction``: K is the exact
 supremum of their scaled powers, and the bounded solution is one forward and
 one backward sweep with them, truncated with an explicit geometric tail
@@ -19,12 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BoundaryEigenvalueError,
-    InvalidCertificateError,
-    SingularCoefficientError,
-)
-from .matrix_core import as_square_matrix, eigenvalues, mat_norm, spectral_split, sup_norm
+from .errors import InvalidCertificateError, SingularCoefficientError, WindowTooSmallError
+from .matrix_core import as_square_matrix, mat_norm, spectral_split, sup_norm
 from .tolerances import DEFAULT
 
 POWER_CAP = 10**6  # largest power of a scaled dichotomy step searched
@@ -32,40 +28,39 @@ POWER_CAP = 10**6  # largest power of a scaled dichotomy step searched
 
 @dataclass
 class DifferenceSystem:
-    """The pair (C(.), h(.)) over the integers."""
+    """The pair (C(.), h(.)) over the integers, C(n) = coefficients[n mod q]
+    for the q matrices of one period."""
 
-    dimension: int
-    coefficient: Callable[[int], np.ndarray]
+    coefficients: tuple[np.ndarray, ...]
     forcing: Callable[[int], np.ndarray]
-    constant_coefficient: np.ndarray | None = None
     _h_cache: dict = field(default_factory=dict, repr=False)
-    _c_cache: dict = field(default_factory=dict, repr=False)
 
     @staticmethod
     def constant(c, h: Callable[[int], np.ndarray]) -> "DifferenceSystem":
-        c = as_square_matrix(c, "C")
-        if abs(np.linalg.det(c)) < DEFAULT.det_floor:
-            raise SingularCoefficientError(
-                f"|det C| = {abs(np.linalg.det(c)):.3g} below the invertibility floor"
-            )
-        return DifferenceSystem(c.shape[0], lambda n: c, h, c)
+        return DifferenceSystem.periodic([c], h)
 
     @staticmethod
     def periodic(coefficients, h: Callable[[int], np.ndarray]) -> "DifferenceSystem":
-        mats = [as_square_matrix(c, "C") for c in coefficients]
-        q = len(mats)
+        mats = tuple(as_square_matrix(c, "C") for c in coefficients)
+        if not mats:
+            raise ValueError("need the coefficient matrices of one period")
         for j, m in enumerate(mats):
-            if abs(np.linalg.det(m)) < DEFAULT.det_floor:
-                raise SingularCoefficientError(f"coefficient {j} is singular")
-        return DifferenceSystem(mats[0].shape[0], lambda n: mats[n % q], h, None)
+            det = abs(np.linalg.det(m))
+            if det < DEFAULT.det_floor:
+                raise SingularCoefficientError(
+                    f"|det C({j})| = {det:.3g} below the invertibility floor")
+        return DifferenceSystem(mats, h)
+
+    @property
+    def dimension(self) -> int:
+        return self.coefficients[0].shape[0]
+
+    @property
+    def constant_coefficient(self) -> np.ndarray | None:
+        return self.coefficients[0] if len(self.coefficients) == 1 else None
 
     def c(self, n: int) -> np.ndarray:
-        if n not in self._c_cache:
-            m = as_square_matrix(self.coefficient(n), f"C({n})")
-            if abs(np.linalg.det(m)) < DEFAULT.det_floor:
-                raise SingularCoefficientError(f"C({n}) is numerically singular")
-            self._c_cache[n] = m
-        return self._c_cache[n]
+        return self.coefficients[n % len(self.coefficients)]
 
     def h(self, n: int) -> np.ndarray:
         if n not in self._h_cache:
@@ -181,28 +176,21 @@ def power_sup(m: np.ndarray, s: np.ndarray) -> float:
 def certify_constant(c) -> DichotomyCertificate:
     """Dichotomy certificate for a constant, hyperbolic coefficient matrix.
 
-    P comes from the discrete spectral split; alpha is the spectral decay
-    rate scaled by a 0.9 safety factor.  With M = e^alpha CP and
-    M' = e^alpha C^-1 Q, K is the exact max(sup_{d>=0} ||M^d P||,
-    sup_{d>=1} ||M'^d||) = sup_d ||G(d, 0)|| e^{alpha |d|}, times
+    P and the spectral decay rate come from the discrete spectral split,
+    which raises BoundaryEigenvalueError for an eigenvalue on the unit
+    circle; alpha is that rate scaled by a 0.9 safety factor.  With
+    M = e^alpha CP and M' = e^alpha C^-1 Q, K is the exact
+    max(sup_{d>=0} ||M^d P||, sup_{d>=1} ||M'^d||)
+    = sup_d ||G(d, 0)|| e^{alpha |d|}, times
     ``k_headroom`` for round-off; no factor e^{alpha d} is ever formed.
     """
-    c = as_square_matrix(c, "C")
-    det = np.linalg.det(c)
-    if abs(det) < DEFAULT.det_floor:
-        raise SingularCoefficientError(
-            f"coefficient is singular (|det| = {abs(det):.3g})"
-        )
-    evals = eigenvalues(c)
-    for lam in evals:
-        dist = abs(abs(lam) - 1.0)
-        if dist < DEFAULT.boundary_margin:
-            raise BoundaryEigenvalueError(complex(lam), dist, "discrete")
-
+    dsys = DifferenceSystem.constant(c, lambda n: np.zeros(dsys.dimension))
+    c = dsys.constant_coefficient
     split = spectral_split(c, "discrete")
-    alpha = DEFAULT.alpha_safety * float(min(abs(math.log(abs(lam))) for lam in evals))
-    y = build_fundamental(DifferenceSystem.constant(c, lambda n: np.zeros(len(c))))
-    cert = DichotomyCertificate(alpha, math.inf, split.stable_projection, y, c)
+    alpha = DEFAULT.alpha_safety * min(split.decay_rate_stable,
+                                       split.decay_rate_unstable)
+    cert = DichotomyCertificate(alpha, math.inf, split.stable_projection,
+                                build_fundamental(dsys), c)
     green = cert.green_function()  # K is not read by the step operators
     back = math.exp(alpha) * green.unstable_step
     cert.K = DEFAULT.k_headroom * max(
@@ -307,6 +295,25 @@ def bi_shift_invariance_check(green: GreenFunction, shifts, window: int
     return BiShiftReport(max(devs.values()), devs, window, False)
 
 
+def widen_radius(radius_for: Callable[[float], float],
+                 sup_within: Callable[[float], float], radius: float) -> float:
+    """Widen a truncation radius R until it covers its own forcing.
+
+    ``radius_for(s)`` is the radius a forcing supremum s needs and
+    ``sup_within(R)`` the supremum over the reach of R.  R becomes
+    radius_for(sup_within(R)) until that stops growing;
+    WindowTooSmallError if it still grows after 4 rounds.
+    """
+    for _ in range(4):
+        wider = radius_for(sup_within(radius))
+        if wider <= radius:
+            return radius
+        radius = wider
+    raise WindowTooSmallError(
+        f"forcing supremum kept growing while sizing the truncation radius "
+        f"(radius {radius:.6g})")
+
+
 def truncation_radius(alpha: float, k_const: float, sup_forcing: float,
                       tol: float) -> int:
     """Summation radius making the discarded geometric tail at most tol."""
@@ -343,18 +350,10 @@ def solve_bounded(sys: DifferenceSystem, cert: DichotomyCertificate,
         if sup_h == 0.0:
             return np.zeros((n1 - n0 + 1, sys.dimension), dtype=complex)
 
-    radius = truncation_radius(cert.alpha, cert.K, sup_h, tol)
-    for _ in range(4):
-        seen = max(sup_norm(sys.h(k))
-                   for k in range(n0 - 1 - radius, n1 - 1 + radius + 1))
-        wider = truncation_radius(cert.alpha, cert.K, seen, tol)
-        if wider <= radius:
-            break
-        radius = wider
-    else:
-        raise InvalidCertificateError(
-            "forcing supremum kept growing while sizing the truncation window"
-        )
+    radius = widen_radius(
+        lambda sup: truncation_radius(cert.alpha, cert.K, sup, tol),
+        lambda r: max(sup_norm(sys.h(k)) for k in range(n0 - 1 - r, n1 + r)),
+        truncation_radius(cert.alpha, cert.K, sup_h, tol))
 
     out = np.zeros((n1 - n0 + 1, sys.dimension), dtype=complex)
     s = u = np.zeros(sys.dimension, dtype=complex)

@@ -255,11 +255,10 @@ class EigenConditionCheck:
 
 
 def _phi1(z):
-    """(e^z - 1) / z, stable near z = 0; elementwise on arrays."""
+    """(e^z - 1) / z, with the value 1 at z = 0; elementwise on arrays."""
     z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-5
-    series = 1.0 + z / 2.0 + z * z / 6.0 + z * z * z / 24.0
-    return np.where(small, series, (np.exp(z) - 1.0) / np.where(small, 1.0, z))[()]
+    zero = z == 0
+    return np.where(zero, 1.0, np.expm1(z) / np.where(zero, 1.0, z))[()]
 
 
 def check_eigenvalue_condition(lambda_a: complex, lambda_b: complex
@@ -313,6 +312,18 @@ def check_eigenvalue_condition(lambda_a: complex, lambda_b: complex
     return EigenConditionCheck(True, None, modulus, u_min)
 
 
+def eigenvalue_pair_failures(a_upper: np.ndarray, b_upper: np.ndarray
+                             ) -> tuple[tuple[int, float], ...]:
+    """(i, u*) for every diagonal pair (a_ii, b_ii) of a triangular pair that
+    violates the invertibility condition, in increasing i."""
+    failures = []
+    for i in range(a_upper.shape[0]):
+        check = check_eigenvalue_condition(a_upper[i, i], b_upper[i, i])
+        if not check.passed:
+            failures.append((i, float(check.u_star)))
+    return tuple(failures)
+
+
 # ---------------------------------------------------------------------------
 # simultaneous triangularization
 
@@ -350,22 +361,6 @@ def _common_eigenvector(a: np.ndarray, b: np.ndarray, tol: float
     if best is not None and best[0] <= tol:
         return best[1]
     return None
-
-
-def _embed_first_column(v: np.ndarray) -> np.ndarray:
-    """Unitary matrix whose first column is v (Gram-Schmidt completion)."""
-    p = v.shape[0]
-    cols = [v / np.linalg.norm(v)]
-    for e in np.eye(p, dtype=complex):
-        w = e.copy()
-        for c in cols:
-            w -= np.vdot(c, w) * c
-        norm = np.linalg.norm(w)
-        if norm > 1e-8:
-            cols.append(w / norm)
-        if len(cols) == p:
-            break
-    return np.column_stack(cols)
 
 
 def simultaneous_triangularize(a, b, user_t=None
@@ -425,7 +420,8 @@ def simultaneous_triangularize(a, b, user_t=None
             raise NotTriangularizableError(
                 f"no common eigenvector at deflation stage {k}"
             )
-        q = _embed_first_column(v)
+        # a unitary Q whose first column is a multiple of v
+        q = np.linalg.qr(v[:, None], mode="complete")[0]
         ak = q.conj().T @ ak @ q
         bk = q.conj().T @ bk @ q
         expanded = np.eye(p, dtype=complex)

@@ -29,7 +29,7 @@ from .depca_engine import (
 from .errors import EigenConditionFailError, NoDichotomyError
 from .matrix_core import (
     _phi1,
-    check_eigenvalue_condition,
+    eigenvalue_pair_failures,
     simultaneous_triangularize,
     sup_norm,
 )
@@ -61,13 +61,11 @@ def build_cascade(system: DepcaSystem, user_t=None) -> TriangularCascade:
     t, a_upper, b_upper = simultaneous_triangularize(system.a, system.b, user_t)
     transformed = sig.linear_map(np.linalg.inv(t), system.forcing)
 
+    failures = eigenvalue_pair_failures(a_upper, b_upper)
+    if failures:
+        raise EigenConditionFailError(*failures[0])
     pairs = tuple((complex(a_upper[i, i]), complex(b_upper[i, i]))
                   for i in range(system.dimension))
-    for i, (alpha, beta) in enumerate(pairs):
-        check = check_eigenvalue_condition(alpha, beta)
-        if not check.passed:
-            raise EigenConditionFailError(i, float(check.u_star))
-
     return TriangularCascade(t, a_upper, b_upper, transformed, pairs)
 
 

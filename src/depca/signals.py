@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -42,6 +42,15 @@ def _as_coef(v, dimension: int | None = None) -> np.ndarray:
     return c
 
 
+def stack_points(evaluate: Callable[[float], np.ndarray], ts, dimension: int
+                 ) -> np.ndarray:
+    """The rows evaluate(t) for t in ``ts``, shape (len(ts), dimension)."""
+    ts = np.asarray(ts, dtype=float)
+    if not ts.size:
+        return np.zeros((0, dimension), dtype=complex)
+    return np.stack([evaluate(float(t)) for t in ts])
+
+
 class Signal:
     """Base class: a bounded function R -> C^p with exact integer shifts."""
 
@@ -51,9 +60,7 @@ class Signal:
         raise NotImplementedError
 
     def evaluate_grid(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return np.stack([self.evaluate(float(t)) for t in ts]) if ts.size else \
-            np.zeros((0, self.dimension), dtype=complex)
+        return stack_points(self.evaluate, ts, self.dimension)
 
     def shift(self, s: int) -> "Signal":
         raise NotImplementedError
@@ -159,7 +166,6 @@ class StepOfSequence(Signal):
     offset: int = 0
     declared_sup: float | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _observed: list = field(default_factory=lambda: [0.0], repr=False, compare=False)
 
     @staticmethod
     def from_sequence(generator, dimension: int | None = None,
@@ -187,7 +193,6 @@ class StepOfSequence(Signal):
                     f"sequence value at {key} exceeds its declared bound "
                     f"({mag:.6g} > {self.declared_sup:.6g})"
                 )
-            self._observed[0] = max(self._observed[0], mag)
             self._cache[key] = v
         return self._cache[key]
 
@@ -199,9 +204,8 @@ class StepOfSequence(Signal):
                               self.declared_sup)
 
     def sup_bound(self) -> float:
-        if self.declared_sup is not None:
-            return self.declared_sup
-        return self._observed[0]
+        """The declared bound; 0 when none was declared."""
+        return 0.0 if self.declared_sup is None else self.declared_sup
 
     def constant_on_unit_interval(self, n: int) -> np.ndarray | None:
         return self.sequence_value(n)
@@ -391,28 +395,27 @@ class Sum(Signal):
         return merged
 
 
-# fixed catalog of continuous outer maps for compositions
-_OUTER_CATALOG = ("identity", "sin", "cos", "square", "cube", "affine", "poly")
+class _OuterMap(NamedTuple):
+    """A continuous outer map g of the composition catalog."""
+
+    fn: Callable                 # (params, z) -> g(z)
+    bound: Callable              # (params, r) -> a bound on |g(z)| over |z| <= r
+    arity: tuple[int, int]       # the least and the most parameters it takes
 
 
-def _outer_fn(tag: str, params: tuple[float, ...]):
-    if tag == "identity":
-        return lambda z: z
-    if tag == "sin":
-        return np.sin
-    if tag == "cos":
-        return np.cos
-    if tag == "square":
-        return lambda z: z * z
-    if tag == "cube":
-        return lambda z: z * z * z
-    if tag == "affine":
-        a, b = params
-        return lambda z: a * z + b
-    if tag == "poly":
-        coeffs = params
-        return lambda z: sum(c * z ** k for k, c in enumerate(coeffs))
-    raise ValueError(f"unsupported outer map {tag!r}")
+_OUTER_MAPS = {
+    "identity": _OuterMap(lambda ps, z: z, lambda ps, r: r, (0, 0)),
+    # |sin z|, |cos z| <= cosh |z| for complex z, = 1 on the reals
+    "sin": _OuterMap(lambda ps, z: np.sin(z), lambda ps, r: float(np.cosh(r)), (0, 0)),
+    "cos": _OuterMap(lambda ps, z: np.cos(z), lambda ps, r: float(np.cosh(r)), (0, 0)),
+    "square": _OuterMap(lambda ps, z: z * z, lambda ps, r: r * r, (0, 0)),
+    "cube": _OuterMap(lambda ps, z: z * z * z, lambda ps, r: r ** 3, (0, 0)),
+    "affine": _OuterMap(lambda ps, z: ps[0] * z + ps[1],
+                        lambda ps, r: abs(ps[0]) * r + abs(ps[1]), (2, 2)),
+    "poly": _OuterMap(lambda ps, z: sum(c * z ** k for k, c in enumerate(ps)),
+                      lambda ps, r: float(sum(abs(c) * r ** k for k, c in enumerate(ps))),
+                      (1, 5)),
+}
 
 
 @dataclass(frozen=True)
@@ -424,37 +427,22 @@ class Composite(Signal):
     inner: Signal
     dimension: int
 
-    def _outer(self):
-        return _outer_fn(self.outer_tag, self.outer_params)
+    def _outer(self, z):
+        return _OUTER_MAPS[self.outer_tag].fn(self.outer_params, z)
 
     def evaluate(self, t: float) -> np.ndarray:
-        return np.atleast_1d(self._outer()(self.inner.evaluate(t)))
+        return np.atleast_1d(self._outer(self.inner.evaluate(t)))
 
     def evaluate_grid(self, ts) -> np.ndarray:
-        return self._outer()(self.inner.evaluate_grid(ts))
+        return self._outer(self.inner.evaluate_grid(ts))
 
     def shift(self, s: int) -> "Composite":
         return Composite(self.outer_tag, self.outer_params, self.inner.shift(s),
                          self.dimension)
 
     def sup_bound(self) -> float:
-        r = self.inner.sup_bound()
-        tag = self.outer_tag
-        if tag == "identity":
-            return r
-        if tag in ("sin", "cos"):
-            # |sin z|, |cos z| <= cosh(|z|) for complex z, = 1 on the reals
-            return float(np.cosh(r)) if r > 0 else 1.0
-        if tag == "square":
-            return r * r
-        if tag == "cube":
-            return r ** 3
-        if tag == "affine":
-            a, b = self.outer_params
-            return abs(a) * r + abs(b)
-        if tag == "poly":
-            return float(sum(abs(c) * r ** k for k, c in enumerate(self.outer_params)))
-        raise ValueError(f"unsupported outer map {tag!r}")
+        return _OUTER_MAPS[self.outer_tag].bound(self.outer_params,
+                                                self.inner.sup_bound())
 
     def breakpoints_in(self, a: float, b: float) -> list[float]:
         return self.inner.breakpoints_in(a, b)
@@ -463,43 +451,44 @@ class Composite(Signal):
         c = self.inner.constant_on_unit_interval(n)
         if c is None:
             return None
-        return np.atleast_1d(self._outer()(c))
+        return np.atleast_1d(self._outer(c))
 
 
 def compose(outer, inner: Signal) -> Composite:
     """Compose a catalog outer map with a signal.
 
     ``outer`` is a tag string, or ('affine', a, b), or ('poly', c0..ck) with
-    k <= 4.  Unsupported tags raise ValueError.
+    k <= 4.  An unknown tag or a wrong parameter count raises ValueError.
     """
     if isinstance(outer, str):
         tag, params = outer, ()
     else:
         tag, *rest = outer
         params = tuple(float(x) for x in rest)
-    if tag not in _OUTER_CATALOG:
+    if tag not in _OUTER_MAPS:
         raise ValueError(f"unsupported outer map {tag!r}")
-    if tag == "affine" and len(params) != 2:
-        raise ValueError("affine outer map needs exactly (scale, offset)")
-    if tag == "poly" and not 1 <= len(params) <= 5:
-        raise ValueError("poly outer map supports degrees 0..4")
-    _outer_fn(tag, params)  # validate eagerly
+    least, most = _OUTER_MAPS[tag].arity
+    if not least <= len(params) <= most:
+        counts = str(least) if least == most else f"{least} to {most}"
+        raise ValueError(f"outer map {tag!r} takes {counts} parameters, "
+                         f"got {len(params)}")
     return Composite(tag, params, inner, inner.dimension)
 
 
 @dataclass(frozen=True)
 class CallableSignal(Signal):
-    """Evaluator-backed signal; its sup bound is the largest value seen."""
+    """Evaluator-backed signal.
+
+    It declares no bound, so ``sup_bound`` is 0; a solver that needs sup|f|
+    (``massera_solve``) samples |f| itself.
+    """
 
     fn: Callable[[float], np.ndarray]
     dimension: int
     breaks_fn: Callable[[float, float], list[float]] | None = None
-    _observed: list = field(default_factory=lambda: [0.0], repr=False, compare=False)
 
     def evaluate(self, t: float) -> np.ndarray:
-        v = _as_coef(self.fn(float(t)), self.dimension)
-        self._observed[0] = max(self._observed[0], float(np.max(np.abs(v))))
-        return v
+        return _as_coef(self.fn(float(t)), self.dimension)
 
     def shift(self, s: int) -> "CallableSignal":
         base = self.fn
@@ -511,7 +500,7 @@ class CallableSignal(Signal):
                               shifted_breaks)
 
     def sup_bound(self) -> float:
-        return self._observed[0]
+        return 0.0
 
     def breakpoints_in(self, a: float, b: float) -> list[float]:
         if self.breaks_fn is None:

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from depca import cli, depca_engine
+from depca import signals as sig
 from depca.depca_engine import (
     DepcaSystem,
     check_propagator_invertibility,
+    quad_tol_for,
     reduce_to_difference,
+    solve_bounded_depca,
 )
 from depca.difference_engine import certify_constant
 from depca.reduction import scalar_companion
@@ -245,3 +248,111 @@ def test_scan_mode_finds_the_integer_periods_of_the_solution(tmp_path):
     assert sorted(deviations) == [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
     assert sorted(s for s, dev in deviations.items() if dev < 1e-6) == [-3.0, 0.0, 3.0]
     assert report_value(report, "shifts_passing") == "3"
+
+
+SMALL = dict(CONFIG, system={"dimension": 1, "A": [[-1.0]], "B": [[0.25]]},
+             forcing=COS_1D, solve={"n0": -1, "n1": 1, "tol": 1e-8, "dt": 0.5})
+
+
+def main_exit(argv) -> int:
+    """The exit status ``depca`` would end with for these arguments."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("args,output,err", [
+    pytest.param(["--config", "{tmp}/nope.json"], {}, "config error: cannot read ",
+                 id="missing"),
+    pytest.param(["--config", "{tmp}"], {}, "config error: cannot read ", id="directory"),
+    pytest.param(["--config", "{tmp}/latin1.json"], {}, "config error: cannot read ",
+                 id="not-utf8"),
+    pytest.param(["--config", "{cfg}", "--out", "{tmp}/file/out"], {}, "error: ",
+                 id="out-under-a-file"),
+    pytest.param(["--config", "{cfg}", "--out", "{tmp}"], {"report": "sub/r.txt"},
+                 "error: ", id="report-in-missing-folder"),
+    pytest.param(["--config", "{cfg}", "--out", "{tmp}"], {"trajectory_csv": "sub/t.csv"},
+                 "error: ", id="csv-in-missing-folder"),
+    pytest.param(["--out", "{tmp}"], {}, "usage: ", id="no-config-flag"),
+    pytest.param(["--config", "{cfg}", "--mode", "bogus"], {}, "usage: ", id="bogus-mode"),
+    pytest.param(["--config", "{cfg}", "--tol", "abc"], {}, "usage: ", id="text-tol"),
+])
+def test_a_run_that_cannot_start_exits_1(tmp_path, capsys, args, output, err):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(dict(SMALL, output=output)))
+    (tmp_path / "file").write_text("")
+    (tmp_path / "latin1.json").write_bytes('{"mode": "é"}'.encode("latin-1"))
+    argv = [a.format(tmp=tmp_path, cfg=config_path) for a in args]
+    assert main_exit(argv + ["--quiet"]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(err)
+    assert "Traceback" not in stderr
+
+
+def test_help_exits_0(capsys):
+    assert main_exit(["--help"]) == 0
+    assert "--seed" not in capsys.readouterr().out
+
+
+def own_certificate(config: dict) -> dict:
+    parsed = cli.config_from_dict(config)
+    c = reduce_to_difference(parsed.system(), quad_tol_for(parsed.tol)).constant_coefficient
+    cert = certify_constant(c)
+    return {"alpha": cert.alpha, "K": cert.K, "P": cert.projection.tolist()}
+
+
+@pytest.mark.parametrize("mode", ["verify", "dichotomy"])
+def test_certificate_block_is_checked(tmp_path, mode):
+    block = own_certificate(CONFIG)
+    assert run_cli(tmp_path, dict(CONFIG, mode=mode, certificate=block)) == 0
+    report = tmp_path / f"{mode}_report.txt"
+    assert report_value(report, "certificate_pass") == "true"
+
+    weak = dict(block, K=block["K"] / 10)
+    assert run_cli(tmp_path, dict(CONFIG, mode=mode, certificate=weak)) == 2
+    assert report_value(report, "certificate_pass") == "false"
+    assert report_value(report, "failed_invariant") == "dichotomy.green_decay"
+
+
+@pytest.mark.parametrize("mode", ["verify", "dichotomy"])
+@pytest.mark.parametrize("alpha,code", [(0.5, 0), (0.8, 2)])
+def test_periodic_coefficients_certificate(tmp_path, mode, alpha, code):
+    # C(n) alternates diag(0.5, 2) and diag(0.25, 3): the slowest one-step
+    # rate is ln 2, so alpha = 0.5 holds with K = 1 and alpha = 0.8 fails
+    block = {"alpha": alpha, "K": 1.0, "P": [[1.0, 0.0], [0.0, 0.0]],
+             "coefficients": [[[0.5, 0.0], [0.0, 2.0]], [[0.25, 0.0], [0.0, 3.0]]]}
+    assert run_cli(tmp_path, dict(CONFIG, mode=mode, certificate=block)) == code
+    report = tmp_path / f"{mode}_report.txt"
+    assert report_value(report, "certificate_pass") == ("true" if code == 0 else "false")
+
+
+COS_SPEC = {"kind": "cos", "coefficient": [1.0], "omega": 1.0}
+COS_SIGNAL = sig.TrigPolynomial.cosine([1.0], 1.0)
+
+
+@pytest.mark.parametrize("spec,signal", [
+    ({"kind": "trig", "terms": [{"coefficient": [[1.0, 2.0]], "frequency": 1.5},
+                                {"coefficient": [0.5], "frequency": -0.7}]},
+     sig.TrigPolynomial.from_terms([([1.0 + 2.0j], 1.5), ([0.5], -0.7)])),
+    ({"kind": "rational_periodic", "p0": 3, "q0": 2,
+      "samples": [[1.0], [-0.5], [0.25]]},
+     sig.RationalPeriodic.from_samples(3, 2, [[1.0], [-0.5], [0.25]])),
+    ({"kind": "aa_test", "amplitude": [0.5]}, sig.AATest.from_amplitude([0.5])),
+    ({"kind": "composite", "outer": "sin", "inner": COS_SPEC},
+     sig.compose("sin", COS_SIGNAL)),
+    ({"kind": "composite", "outer": {"kind": "affine", "scale": 2.0, "offset": -1.0},
+      "inner": COS_SPEC}, sig.compose(("affine", 2.0, -1.0), COS_SIGNAL)),
+    ({"kind": "composite", "outer": {"kind": "poly", "coeffs": [0.0, 1.0, 0.5]},
+      "inner": COS_SPEC}, sig.compose(("poly", 0.0, 1.0, 0.5), COS_SIGNAL)),
+], ids=["trig", "rational-periodic", "aa-test", "composite-sin", "composite-affine",
+        "composite-poly"])
+def test_each_signal_kind_solves(tmp_path, spec, signal):
+    assert run_cli(tmp_path, dict(SMALL, forcing=spec)) == 0
+    rows = [[float(c) for c in line.split(",")]
+            for line in (tmp_path / "solve_trajectory.csv").read_text().splitlines()[1:]]
+    got = {t: complex(re, im) for t, re, im in rows if t % 1 == 0.5}
+    assert sorted(got) == [-0.5, 0.5]
+    traj = solve_bounded_depca(DepcaSystem.build([[-1.0]], [[0.25]], signal), -1, 1, 1e-8)
+    for t, value in got.items():
+        assert value == pytest.approx(traj.evaluate(t)[0], abs=1e-12)

@@ -269,6 +269,29 @@ class TestPropagatorInvertibility:
     def test_pure_a_passes(self):
         assert check_propagator_invertibility(scalar_system(1.0, 0.0, CONST_1)).passed
 
+    def test_non_triangularizable_pair_screened_on_the_grid(self):
+        # AB - BA is not nilpotent, so no pair is checked analytically; the
+        # constant forcing gives the constant solution (I - C)^-1 h, with C
+        # and h read off the exponential of [[A, I], [0, 0]]
+        a = np.diag([-1.0, -2.0])
+        b = np.array([[0.1, 0.2], [0.3, 0.1]])
+        f = np.array([1.0, -0.5])
+        system = DepcaSystem.build(a, b, sig.TrigPolynomial.constant(f))
+        report = check_propagator_invertibility(system)
+        assert report.passed and not report.analytic_performed
+        assert report.min_det == pytest.approx(6.06e-2, abs=1e-4)
+        assert "grid check only" in str(report)
+
+        w = np.zeros((4, 4))
+        w[:2, :2], w[:2, 2:] = a, np.eye(2)
+        e = scipy.linalg.expm(w)
+        c, h = e[:2, :2] + e[:2, 2:] @ b, e[:2, 2:] @ f
+        x = np.linalg.solve(np.eye(2) - c, h)
+        traj = solve_bounded_depca(system, -3, 3, 1e-10)
+        assert traj.diagnostics.screen.analytic_performed is False
+        ts = np.linspace(-3.0, 3.0, 49)
+        assert np.max(np.abs(traj.evaluate_grid(ts) - x)) <= 1e-10
+
 
 class TestSolveBoundedDepca:
     def test_zero_forcing_zero_solution(self):
@@ -294,6 +317,13 @@ class TestSolveBoundedDepca:
         # the sup sqrt(2)/2 sits at pi/4 + k pi: probe the peak directly
         peak = traj.evaluate(np.pi / 4)[0]
         assert abs(peak) == pytest.approx(np.sqrt(2) / 2, abs=1e-6)
+
+    def test_empty_grid_has_shape_zero_by_p(self):
+        system = DepcaSystem.build(-np.eye(2), 0.2 * np.eye(2),
+                                   sig.TrigPolynomial.cosine([1.0, 0.5], 1.0))
+        assert solve_bounded_depca(system, -2, 2, 1e-9).evaluate_grid([]).shape == (0, 2)
+        sol = massera_solve(-np.eye(2), sig.TrigPolynomial.cosine([1.0, 0.5], 1.0), 1e-8)
+        assert sol.evaluate_grid([]).shape == (0, 2)
 
     def test_diagnostics_within_bounds(self):
         system = scalar_system(0.0, -0.5, COS_2PI)
@@ -467,6 +497,14 @@ class TestMassera:
         declared = massera_solve(np.array([[-1.0]]),
                                  sig.TrigPolynomial.cosine([1.0], 1.0), 1e-9)
         assert sol.radius == pytest.approx(declared.radius, rel=1e-12)
+
+    def test_radius_ignores_evaluation_history(self):
+        # f = cos t, ten times larger beyond |t| = 60: an earlier evaluate at
+        # t = 100 must not change the radius, which the sampled |f| sizes
+        f = sig.CallableSignal(lambda t: [np.cos(t) * (10.0 if abs(t) > 60 else 1.0)], 1)
+        radius = massera_solve(np.array([[-1.0]]), f, 1e-9).radius
+        f.evaluate(100.0)
+        assert massera_solve(np.array([[-1.0]]), f, 1e-9).radius == radius
 
     def test_growing_forcing_fails_typed(self):
         f = sig.CallableSignal(lambda t: [np.exp(abs(t))], 1)

@@ -22,6 +22,7 @@ from depca.errors import (
     BoundaryEigenvalueError,
     InvalidCertificateError,
     SingularCoefficientError,
+    WindowTooSmallError,
 )
 from depca.matrix_core import as_square_matrix, eigenvalues, mat_norm, sup_norm
 
@@ -255,6 +256,13 @@ class TestSolveBounded:
         coarse = solve_bounded(sys, cert, -15, 15, tol)
         fine = solve_bounded(sys, cert, -15, 15, tol / 10.0)
         assert np.max(np.abs(coarse - fine)) <= 1.1 * tol
+
+    def test_growing_forcing_fails_typed(self):
+        # with alpha = 0.9 ln 2 each round's radius reaches e^|n| large enough
+        # to need about 1.6 times the radius again, so it never settles
+        sys = DifferenceSystem.constant([[0.5]], lambda n: np.array([np.exp(abs(n))]))
+        with pytest.raises(WindowTooSmallError):
+            solve_bounded(sys, certify_constant([[0.5]]), 0, 0, 1e-10)
 
 
 class TestBoundCheck:

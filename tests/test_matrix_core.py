@@ -297,3 +297,15 @@ class TestEigenConditionSeriesBranch:
             loss = 1.0 if abs(z) < 1e-5 else max(1.0, 1.0 / abs(z))
             assert abs(value - ref) <= 4e-16 * loss * abs(ref)
             assert _phi1(complex(z)) == value
+
+    def test_phi1_matches_mpmath_on_a_log_spread(self):
+        # |z| from 1e-12 to 30 in every direction, through 1e-5 < |z| < 1e-3
+        # where a series cut-over or (e^z - 1)/z loses accuracy
+        radii = np.logspace(-12, np.log10(30.0), 2011)
+        zs = radii * np.exp(1j * np.linspace(0.0, 2 * np.pi, 2011, endpoint=False))
+        zs = np.concatenate([zs, radii, -radii])
+        with mp.workdps(40):
+            for z, value in zip(zs, _phi1(zs)):
+                zm = mp.mpc(z.real, z.imag)
+                ref = mp.expm1(zm) / zm
+                assert abs(mp.mpc(value.real, value.imag) - ref) <= 1e-15 * abs(ref)

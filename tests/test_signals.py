@@ -125,6 +125,14 @@ class TestStructure:
         ts = np.linspace(-20, 20, 2001)
         assert np.max(np.abs(f.evaluate_grid(ts))) <= f.sup_bound() + 1e-12
 
+    def test_undeclared_sup_bound_ignores_evaluation_history(self):
+        step = sig.StepOfSequence.from_sequence(lambda n: np.array([float(n)]))
+        call = sig.CallableSignal(lambda t: [10.0 * t], 1)
+        for f in (step, call):
+            f.evaluate(100.0)
+            assert f.sup_bound() == 0.0
+        assert sig.compose("cos", call).sup_bound() == 1.0
+
     def test_step_declared_bound_enforced(self):
         f = sig.StepOfSequence.from_sequence(lambda n: np.array([float(n)]),
                                              declared_sup=2.0)
@@ -165,6 +173,28 @@ class TestCompose:
             sig.compose("tanh", f)
         with pytest.raises(ValueError):
             sig.compose(("poly", 1, 2, 3, 4, 5, 6), f)  # degree 5
+
+    @pytest.mark.parametrize("outer,count", [
+        (("sin", 1.0), "0"), (("cube", 2.0), "0"), ("affine", "2"),
+        (("affine", 2.0), "2"), (("poly",), "1 to 5")],
+        ids=["sin-1", "cube-1", "affine-0", "affine-1", "poly-0"])
+    def test_wrong_parameter_count_refused(self, outer, count):
+        f = sig.TrigPolynomial.constant([1.0])
+        with pytest.raises(ValueError, match=f"takes {count} parameters"):
+            sig.compose(outer, f)
+
+    @pytest.mark.parametrize("outer,bound", [
+        ("identity", 1.0), ("sin", np.cosh(1.0)), ("cos", np.cosh(1.0)),
+        ("square", 1.0), ("cube", 1.0), (("affine", 2.0, -1.0), 3.0),
+        (("poly", 0.0, 1.0, 0.5), 1.5)],
+        ids=["identity", "sin", "cos", "square", "cube", "affine", "poly"])
+    def test_sup_bound_of_each_outer_map(self, outer, bound):
+        # the inner cosine has sup 1, and |g(z)| over |z| <= 1 is bounded by
+        # cosh 1 for sin and cos, |a| + |b| for affine, sum |c_k| for poly
+        g = sig.compose(outer, sig.TrigPolynomial.cosine([1.0], 1.0))
+        assert g.sup_bound() == pytest.approx(bound, rel=1e-15)
+        ts = np.linspace(-10.0, 10.0, 2001)
+        assert np.max(np.abs(g.evaluate_grid(ts))) <= bound + 1e-12
 
 
 class TestLinearOps:
