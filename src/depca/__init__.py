@@ -19,7 +19,6 @@ from .difference_engine import (
     DichotomyCertificate,
     DifferenceSystem,
     GreenFunction,
-    bi_shift_invariance_check,
     bound_check,
     certify_constant,
     solve_bounded,
@@ -50,7 +49,6 @@ __all__ = [
     "HybridTrajectory",
     "SpectralSplit",
     "Tolerances",
-    "bi_shift_invariance_check",
     "bound_check",
     "build_cascade",
     "certify_constant",

@@ -29,7 +29,6 @@ from .difference_engine import (
     DichotomyCertificate,
     DifferenceSystem,
     bound_check,
-    build_fundamental,
     certify_constant,
     verify_certificate,
 )
@@ -447,6 +446,12 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
     """Execute the configured workflow; returns the process exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    report_path = out / config.output.get("report", f"{config.mode}_report.txt")
+    csv_path = out / config.output.get("trajectory_csv", f"{config.mode}_trajectory.csv")
+    writes = (report_path, csv_path) if config.mode in ("solve", "reduce") else (report_path,)
+    for path in writes:
+        if not path.parent.is_dir():
+            raise OSError(f"cannot write {path}: {path.parent} is not a folder")
     report = Report(f"depca {config.mode} report")
     report.set("mode", config.mode)
     report.set("dimension", config.dimension)
@@ -476,8 +481,6 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
                 if not verdict.passed:
                     report.set("failed_invariant", "diagnostics.periodicity")
                     exit_code = 2
-            csv_path = out / config.output.get("trajectory_csv",
-                                               f"{config.mode}_trajectory.csv")
             write_trajectory_csv(csv_path, traj, config.dt)
             report.set("trajectory_csv", str(csv_path))
 
@@ -496,38 +499,31 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
         exit_code = 2
 
     report.set("exit", exit_code)
-    report_path = out / config.output.get("report", f"{config.mode}_report.txt")
     report_path.write_text(report.render())
     if not quiet:
         sys.stdout.write(report.render())
     return exit_code
 
 
-def _certificate_from_config(config: RunConfig, system: DepcaSystem):
-    """(difference system, certificate) from the config's certificate block,
-    deriving C from the hybrid reduction when no coefficients are given."""
+def _certificate_from_config(config: RunConfig, system: DepcaSystem
+                             ) -> DichotomyCertificate:
+    """The certificate of the config's certificate block, over its
+    coefficients or, when none are given, the C of the hybrid reduction."""
     block = config.certificate
-
-    def zero_h(n: int) -> np.ndarray:
-        return np.zeros(config.dimension, dtype=complex)
-
     if "coefficients" in block:
-        dsys = DifferenceSystem.periodic(
-            [np.array(c) for c in block["coefficients"]], zero_h)
-        constant = None
+        dsys = DifferenceSystem.periodic(  # checks each C(j); no h is read
+            [np.array(c) for c in block["coefficients"]], None)
     else:
         dsys = reduce_to_difference(system, quad_tol_for(config.tol))
-        constant = dsys.constant_coefficient
-    cert = DichotomyCertificate(block["alpha"], block["K"], np.array(block["P"]),
-                                build_fundamental(dsys), constant)
-    return dsys, cert
+    return DichotomyCertificate(block["alpha"], block["K"], np.array(block["P"]),
+                                dsys.coefficients)
 
 
 def _run_verify(config: RunConfig, report: Report) -> int:
     exit_code = 0
     if config.certificate is not None:
-        dsys, cert = _certificate_from_config(config, config.system())
-        cert_report = verify_certificate(dsys, cert, config.certificate["window"])
+        cert = _certificate_from_config(config, config.system())
+        cert_report = verify_certificate(cert, config.certificate["window"])
         report.note(str(cert_report))
         report.set("certificate_pass", cert_report.passed)
         report.set("worst_decay_margin", cert_report.worst_decay_margin)
@@ -555,13 +551,13 @@ def _run_verify(config: RunConfig, report: Report) -> int:
 def _run_dichotomy(config: RunConfig, report: Report) -> int:
     system = config.system()
     if config.certificate is not None:
-        dsys, cert = _certificate_from_config(config, system)
+        cert = _certificate_from_config(config, system)
         window = config.certificate["window"]
     else:
         dsys = reduce_to_difference(system, quad_tol_for(config.tol))
         cert = certify_constant(dsys.constant_coefficient)
         window = CERTIFICATE_WINDOW
-    cert_report = verify_certificate(dsys, cert, window)
+    cert_report = verify_certificate(cert, window)
 
     green = cert.green_function()
     report.note("decay table: d, |G(d,0)|, K e^{-alpha|d|}")

@@ -693,7 +693,7 @@ def massera_solve(a, forcing: sig.Signal, tol: float) -> MasseraSolution:
         sampled = forcing.evaluate_grid(np.arange(-reach, reach + 1e-9, 1.0 / 16))
         return max(declared, float(np.max(np.abs(sampled))))
 
-    radius = widen_radius(radius_for, sup_within, radius_for(declared))
+    radius = widen_radius(radius_for, sup_within, declared)
     return MasseraSolution(a, forcing, split, radius, p, sides)
 
 

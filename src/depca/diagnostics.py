@@ -2,8 +2,7 @@
 
 None of these certify a function class: they sample deviations on explicit
 windows and grids (recorded in every report) and straddle the integers,
-where the objects of interest are allowed to jump.  Random sampling uses a
-fixed default seed, also recorded, so reports reproduce exactly.
+where the objects of interest are allowed to jump.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import numpy as np
 
 from .errors import WindowTooSmallError
 
-DEFAULT_SEED = 1729
 _STRADDLE = 1e-9
 
 
@@ -147,72 +145,3 @@ def almost_period_scan(target, epsilon: float, shift_range: int,
     return AlmostPeriodReport(epsilon, tuple(tested), tuple(passing),
                               tuple(deviations), float(max(abs(a), abs(b))),
                               grid_step, density)
-
-
-@dataclass(frozen=True)
-class ShiftLimitReport:
-    probe_points: tuple[float, ...]
-    deviations: tuple[float, ...]
-    tail_start: int
-    max_deviation: float
-
-    def __str__(self) -> str:
-        return (f"shift-limit Cauchy screen: max deviation "
-                f"{self.max_deviation:.3e} over tail from index {self.tail_start}")
-
-
-def shift_limit_probe(f, shifts, probe_points) -> ShiftLimitReport:
-    """Cauchy screen for pointwise shift limits along a shift sequence.
-
-    For each probe t, reports the largest pairwise deviation of f(t + s)
-    over the last half of the shift list; small values are consistent with
-    the pointwise limits existing along the sequence.
-    """
-    shifts = [int(s) for s in shifts]
-    if not shifts:
-        raise ValueError("need a nonempty shift sequence")
-    tail_start = len(shifts) // 2
-    tail = shifts[tail_start:]
-    devs = []
-    for t in probe_points:
-        vals = [f.evaluate(float(t) + s) for s in tail]
-        worst = 0.0
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                worst = max(worst, float(np.max(np.abs(vals[i] - vals[j]))))
-        devs.append(worst)
-    return ShiftLimitReport(tuple(float(t) for t in probe_points), tuple(devs),
-                            tail_start, max(devs) if devs else 0.0)
-
-
-@dataclass(frozen=True)
-class LipschitzVerdict:
-    passed: bool
-    claim: float
-    worst_violation: float
-    samples: int
-    seed: int
-
-    def __str__(self) -> str:
-        state = "pass" if self.passed else "fail"
-        return (f"Lipschitz claim {self.claim:.6g}: {state} (worst violation "
-                f"{self.worst_violation:.3e}, {self.samples} pairs, seed {self.seed})")
-
-
-def lipschitz_probe(traj, m0_claim: float, samples: int = 10000,
-                    seed: int = DEFAULT_SEED) -> LipschitzVerdict:
-    """Random-pair screen of |x(t) - x(s)| <= M0 |t - s| on the window."""
-    if samples < 100:
-        raise ValueError("need at least 100 sample pairs")
-    rng = np.random.default_rng(seed)
-    a, b = float(traj.n0), float(traj.n1)
-    ts = rng.uniform(a, b, samples)
-    ss = rng.uniform(a, b, samples)
-    xt = traj.evaluate_grid(ts)
-    xs = traj.evaluate_grid(ss)
-    gaps = np.max(np.abs(xt - xs), axis=1)
-    allowed = m0_claim * np.abs(ts - ss) + 1e-9
-    violations = gaps - allowed
-    worst = float(np.max(violations))
-    return LipschitzVerdict(worst <= 0.0, m0_claim, max(worst, 0.0),
-                            samples, seed)

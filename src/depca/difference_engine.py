@@ -1,11 +1,11 @@
 """Bounded solutions of x(n+1) = C(n) x(n) + h(n) under exponential dichotomy.
 
-Certificates (alpha, K, P, Y) are constructed for constant coefficients and
-verified for periodic ones.  For constant C the dichotomy is the pair of
-contractive steps CP and C^-1 Q held by ``GreenFunction``: K is the exact
-supremum of their scaled powers, and the bounded solution is one forward and
-one backward sweep with them, truncated with an explicit geometric tail
-bound.
+Certificates (alpha, K, P) are constructed for constant coefficients and
+verified for periodic ones.  The dichotomy is the pair of contractive steps
+MP and M^-1 Q of the monodromy M held by ``GreenFunction``: for constant C,
+K is the exact supremum of their scaled powers, and the bounded solution is
+one forward and one backward sweep with them, truncated with an explicit
+geometric tail bound.
 
 Certificates and systems are immutable once built; caches are populated
 lazily and are safe under CPython's sequential test usage.
@@ -71,31 +71,13 @@ class DifferenceSystem:
         return self._h_cache[n]
 
 
-def build_fundamental(sys: DifferenceSystem) -> Callable[[int], np.ndarray]:
-    """Y(n) with Y(0) = I, Y(n+1) = C(n) Y(n), cached in both directions."""
-    cache: dict[int, np.ndarray] = {0: np.eye(sys.dimension)}
-
-    def y(n: int) -> np.ndarray:
-        if n not in cache:
-            if n > 0:
-                top = max(cache)
-                for k in range(top, n):
-                    cache[k + 1] = sys.c(k) @ cache[k]
-            else:
-                bottom = min(cache)
-                for k in range(bottom - 1, n - 1, -1):
-                    cache[k] = np.linalg.solve(sys.c(k), cache[k + 1])
-        return cache[n]
-
-    return y
-
-
 @dataclass
 class DichotomyCertificate:
-    """(alpha, K, P) plus the fundamental-matrix accessor Y (Y(0) = I).
+    """(alpha, K, P) for the system with the q matrices ``coefficients`` of
+    one period, C(n) = coefficients[n mod q].
 
     Claims |G(m, l)| <= K e^{-alpha |m-l|} for all m, l, in the max-row-sum
-    norm, for the Green function G built from P and Y.  That operator norm
+    norm, for the Green function G built from P.  That operator norm
     dominates the entrywise supremum, so the certificate also bounds entries,
     and it feeds the solution bound sup|x| <= K (1+e^-a)/(1-e^-a).
     """
@@ -103,8 +85,11 @@ class DichotomyCertificate:
     alpha: float
     K: float
     projection: np.ndarray
-    fundamental: Callable[[int], np.ndarray]
-    constant_coefficient: np.ndarray | None = None
+    coefficients: tuple[np.ndarray, ...]
+
+    @property
+    def constant_coefficient(self) -> np.ndarray | None:
+        return self.coefficients[0] if len(self.coefficients) == 1 else None
 
     def green_function(self) -> "GreenFunction":
         return GreenFunction(self)
@@ -115,50 +100,40 @@ class DichotomyCertificate:
 
 
 class GreenFunction:
-    """Evaluator for G(m, l) = Y(m) P Y^-1(l) (m >= l), -Y(m)(I-P)Y^-1(l) (m < l).
+    """G(m, l) = Y(m) P Y^-1(l) (m >= l), -Y(m) Q Y^-1(l) (m < l), Q = I - P.
 
-    For constant coefficients only contractive products are formed, from the
-    dichotomy steps ``stable_step`` = CP and ``unstable_step`` = C^-1(I-P):
-    C^d P = (CP)^d P and C^-d (I-P) = (C^-1(I-P))^d, both with spectral
-    radius below one, so long-range evaluations stay stable.
+    On the Floquet lift m = kq + i, l = jq + r, with Y(0) = I and monodromy
+    M = C(q-1)...C(0), Y(m) = Y(i) M^k.  For P commuting with M that gives
+    Y(i) (MP)^(k-j) P Y^-1(r) and -Y(i) (M^-1 Q)^(j-k) Y^-1(r), (M^-1 Q)^0 = Q:
+    only the contractive steps ``stable_step`` = MP and ``unstable_step`` =
+    M^-1 Q are powered, and G(m+q, l+q) = G(m, l) exactly.  For q = 1, M = C.
     """
 
     def __init__(self, certificate: DichotomyCertificate):
         self.certificate = certificate
         p = certificate.projection
-        self._ident = np.eye(p.shape[0])
-        c = certificate.constant_coefficient
-        if c is not None:
-            self._stable = {0: p.copy()}
-            self.stable_step = c @ p
-            self.unstable_step = np.linalg.solve(c, self._ident - p)
-            self._unstable = {1: self.unstable_step.copy()}
-        else:
-            self._stable = None
-        self._yinv_cache: dict[int, np.ndarray] = {}
+        ident = np.eye(p.shape[0])
+        mats = certificate.coefficients
+        self._ys = [ident]  # Y(0), ..., Y(q-1)
+        for c in mats[:-1]:
+            self._ys.append(c @ self._ys[-1])
+        self.monodromy = mats[0] if len(mats) == 1 else mats[-1] @ self._ys[-1]
+        self._yinvs = [ident] + [np.linalg.solve(y, ident) for y in self._ys[1:]]
+        self.stable_step = self.monodromy @ p
+        self.unstable_step = np.linalg.solve(self.monodromy, ident - p)
+        # (MP)^d P and (M^-1 Q)^d at index d
+        self._stable = [p.copy()]
+        self._unstable = [ident - p, self.unstable_step.copy()]
 
     def __call__(self, m: int, l: int) -> np.ndarray:
-        if self._stable is not None:
-            d = m - l
-            if d >= 0:
-                top = max(self._stable)
-                for k in range(top, d):
-                    self._stable[k + 1] = self.stable_step @ self._stable[k]
-                return self._stable[d]
-            d = -d
-            top = max(self._unstable)
-            for k in range(top, d):
-                self._unstable[k + 1] = self.unstable_step @ self._unstable[k]
-            return -self._unstable[d]
-
-        cert = self.certificate
-        ym = cert.fundamental(m)
-        if l not in self._yinv_cache:
-            self._yinv_cache[l] = np.linalg.solve(cert.fundamental(l), self._ident)
-        yinv = self._yinv_cache[l]
-        if m >= l:
-            return ym @ cert.projection @ yinv
-        return -(ym @ (self._ident - cert.projection) @ yinv)
+        q = len(self._ys)
+        (k, i), (j, r) = divmod(m, q), divmod(l, q)
+        powers, step, d = ((self._stable, self.stable_step, k - j) if m >= l
+                           else (self._unstable, self.unstable_step, j - k))
+        while len(powers) <= d:
+            powers.append(step @ powers[-1])
+        core = powers[d] if m >= l else -powers[d]
+        return core if q == 1 else self._ys[i] @ core @ self._yinvs[r]
 
 
 def power_sup(m: np.ndarray, s: np.ndarray) -> float:
@@ -190,7 +165,7 @@ def certify_constant(c) -> DichotomyCertificate:
     alpha = DEFAULT.alpha_safety * min(split.decay_rate_stable,
                                        split.decay_rate_unstable)
     cert = DichotomyCertificate(alpha, math.inf, split.stable_projection,
-                                build_fundamental(dsys), c)
+                                dsys.coefficients)
     green = cert.green_function()  # K is not read by the step operators
     back = math.exp(alpha) * green.unstable_step
     cert.K = DEFAULT.k_headroom * max(
@@ -205,7 +180,7 @@ class CertificateReport:
     window: int
     worst_decay_margin: float          # min over pairs of bound - |G|
     worst_pair: tuple[int, int]
-    max_recursion_residual: float      # max ||Y(n+1) - C(n) Y(n)||
+    invariance_defect: float           # ||MP - PM|| / (1 + ||M|| ||P||)
     projection_defect: float           # ||P^2 - P||
     failed_invariant: str | None = None
 
@@ -213,27 +188,22 @@ class CertificateReport:
         state = "pass" if self.passed else f"FAIL ({self.failed_invariant})"
         return (f"certificate check on window {self.window}: {state}; "
                 f"worst decay margin {self.worst_decay_margin:.3e} at "
-                f"{self.worst_pair}, recursion residual "
-                f"{self.max_recursion_residual:.3e}, projection defect "
+                f"{self.worst_pair}, invariance defect "
+                f"{self.invariance_defect:.3e}, projection defect "
                 f"{self.projection_defect:.3e}")
 
 
-def verify_certificate(sys: DifferenceSystem, cert: DichotomyCertificate,
-                       window: int) -> CertificateReport:
-    """Check the decay inequality, the Y recursion and P idempotency."""
+def verify_certificate(cert: DichotomyCertificate, window: int) -> CertificateReport:
+    """Check P idempotency, the invariance MP = PM that the Green function's
+    lift rests on, and the decay inequality on [-window, window]^2."""
     if window < 1:
         raise ValueError("window must be at least 1")
     p = cert.projection
     proj_defect = float(np.max(np.abs(p @ p - p)))
-
-    rec_res = 0.0
-    for n in range(-window, window):
-        y_next = cert.fundamental(n + 1)
-        defect = float(np.max(np.abs(y_next - sys.c(n) @ cert.fundamental(n))))
-        # relative: Y spans huge scales across a wide window
-        rec_res = max(rec_res, defect / (1.0 + mat_norm(y_next)))
-
     green = cert.green_function()
+    mono = green.monodromy
+    invariance = mat_norm(mono @ p - p @ mono) / (1.0 + mat_norm(mono) * mat_norm(p))
+
     worst = math.inf
     worst_pair = (0, 0)
     rng = range(-window, window + 1)
@@ -248,64 +218,40 @@ def verify_certificate(sys: DifferenceSystem, cert: DichotomyCertificate,
     failed = None
     if proj_defect > DEFAULT.projection_idem:
         failed = "dichotomy.projection_idempotent"
-    elif rec_res > DEFAULT.projection_idem:
-        failed = "dichotomy.fundamental_recursion"
+    elif invariance > DEFAULT.projection_idem:
+        failed = "dichotomy.projection_invariant"
     elif worst < -1e-12 * cert.K:
         failed = "dichotomy.green_decay"
     return CertificateReport(failed is None, window, worst, worst_pair,
-                             rec_res, proj_defect, failed)
+                             invariance, proj_defect, failed)
 
 
-@dataclass(frozen=True)
-class BiShiftReport:
-    max_deviation: float
-    deviations: dict
-    window: int
-    exact_by_translation_invariance: bool
-
-    def __str__(self) -> str:
-        kind = ("exact by translation invariance"
-                if self.exact_by_translation_invariance else "sampled")
-        return (f"bi-shift invariance on window {self.window}: max deviation "
-                f"{self.max_deviation:.3e} ({kind})")
-
-
-def bi_shift_invariance_check(green: GreenFunction, shifts, window: int
-                              ) -> BiShiftReport:
-    """Deviation of G(m+s, l+s) from G(m, l) along a shift sequence.
-
-    Constant-coefficient Green functions depend on m - l only, so the
-    deviation vanishes identically; non-autonomous systems get a sampled
-    finite-window screen of the simultaneous-shift regularity.
-    """
-    shifts = [int(s) for s in shifts]
-    if not shifts:
-        raise ValueError("need at least one shift")
-    if green.certificate.constant_coefficient is not None:
-        return BiShiftReport(0.0, {s: 0.0 for s in shifts}, window, True)
-
-    devs: dict[int, float] = {}
-    rng = range(-window, window + 1)
-    for s in shifts:
-        worst = 0.0
-        for m in rng:
-            for l in rng:
-                worst = max(worst, float(np.max(np.abs(green(m + s, l + s) - green(m, l)))))
-        devs[s] = worst
-    return BiShiftReport(max(devs.values()), devs, window, False)
+def _finite_sup(sup: float, radius: float) -> float:
+    if not math.isfinite(sup):
+        raise WindowTooSmallError(
+            f"forcing supremum is not finite (truncation radius {radius:.6g})")
+    return sup
 
 
 def widen_radius(radius_for: Callable[[float], float],
-                 sup_within: Callable[[float], float], radius: float) -> float:
+                 sup_within: Callable[[float], float], sup: float) -> float:
     """Widen a truncation radius R until it covers its own forcing.
 
     ``radius_for(s)`` is the radius a forcing supremum s needs and
-    ``sup_within(R)`` the supremum over the reach of R.  R becomes
-    radius_for(sup_within(R)) until that stops growing;
-    WindowTooSmallError if it still grows after 4 rounds.
+    ``sup_within(R)`` the supremum over the reach of R.  R starts at
+    radius_for(sup) and becomes radius_for(sup_within(R)) until that stops
+    growing; WindowTooSmallError if it still grows after 4 rounds, or if a
+    supremum is not finite or cannot be sampled.
     """
+    radius = radius_for(_finite_sup(sup, 0.0))
     for _ in range(4):
-        wider = radius_for(sup_within(radius))
+        try:
+            sup = sup_within(radius)
+        except (OverflowError, ValueError) as exc:
+            raise WindowTooSmallError(
+                f"forcing cannot be sampled within the truncation radius "
+                f"{radius:.6g}: {exc}") from exc
+        wider = radius_for(_finite_sup(sup, radius))
         if wider <= radius:
             return radius
         radius = wider
@@ -352,8 +298,7 @@ def solve_bounded(sys: DifferenceSystem, cert: DichotomyCertificate,
 
     radius = widen_radius(
         lambda sup: truncation_radius(cert.alpha, cert.K, sup, tol),
-        lambda r: max(sup_norm(sys.h(k)) for k in range(n0 - 1 - r, n1 + r)),
-        truncation_radius(cert.alpha, cert.K, sup_h, tol))
+        lambda r: max(sup_norm(sys.h(k)) for k in range(n0 - 1 - r, n1 + r)), sup_h)
 
     out = np.zeros((n1 - n0 + 1, sys.dimension), dtype=complex)
     s = u = np.zeros(sys.dimension, dtype=complex)

@@ -574,25 +574,6 @@ def linear_map(m, f: Signal) -> Signal:
                           lambda a, b: breaks(a, b))
 
 
-def component(f: Signal, i: int) -> Signal:
-    """Scalar signal picking component i."""
-    row = np.zeros((1, f.dimension))
-    row[0, i] = 1.0
-    return linear_map(row, f)
-
-
-def shift(f: Signal, s: int) -> Signal:
-    """The signal t -> f(t + s) for an integer shift s (exact per kind)."""
-    return f.shift(int(s))
-
-
-def sample_on_integers(f: Signal, n0: int, n1: int) -> np.ndarray:
-    """[f(n0), ..., f(n1)] as an array of shape (n1-n0+1, p)."""
-    if n0 > n1:
-        raise ValueError("need n0 <= n1")
-    return np.stack([f.evaluate(float(n)) for n in range(n0, n1 + 1)])
-
-
 # ---------------------------------------------------------------------------
 # the running primitive and its boundedness screen
 

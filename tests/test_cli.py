@@ -278,7 +278,12 @@ def main_exit(argv) -> int:
     pytest.param(["--config", "{cfg}", "--mode", "bogus"], {}, "usage: ", id="bogus-mode"),
     pytest.param(["--config", "{cfg}", "--tol", "abc"], {}, "usage: ", id="text-tol"),
 ])
-def test_a_run_that_cannot_start_exits_1(tmp_path, capsys, args, output, err):
+def test_a_run_that_cannot_start_exits_1(tmp_path, capsys, monkeypatch, args, output,
+                                         err):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the run could start")
+
+    monkeypatch.setattr(cli, "solve_bounded_depca", no_solve)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(dict(SMALL, output=output)))
     (tmp_path / "file").write_text("")
@@ -325,6 +330,38 @@ def test_periodic_coefficients_certificate(tmp_path, mode, alpha, code):
     assert run_cli(tmp_path, dict(CONFIG, mode=mode, certificate=block)) == code
     report = tmp_path / f"{mode}_report.txt"
     assert report_value(report, "certificate_pass") == ("true" if code == 0 else "false")
+
+
+# C is upper triangular with C(0, 1) = 1.70, so P = diag(1, 0) is idempotent
+# but not invariant: ||CP - PC|| / (1 + ||C|| ||P||) = 0.52.  Its contractive
+# steps CP and C^-1 Q decay, which once let this certificate pass.
+NON_INVARIANT = dict(CONFIG, system={"dimension": 2, "A": [[-0.7, 1.5], [0.0, 0.7]],
+                                     "B": [[0.1, 0.0], [0.0, 0.1]]})
+
+
+def invariance_defect(report) -> float:
+    note = next(line for line in report.read_text().splitlines()
+                if line.startswith("certificate check"))
+    return float(note.split("invariance defect ")[1].split(",")[0])
+
+
+@pytest.mark.parametrize("given_c", [False, True], ids=["reduced-c", "coefficients"])
+def test_a_non_invariant_projection_is_refuted(tmp_path, given_c):
+    own = own_certificate(NON_INVARIANT)
+    parsed = cli.config_from_dict(NON_INVARIANT)
+    c = reduce_to_difference(parsed.system(), quad_tol_for(parsed.tol)).constant_coefficient
+    extra = {"coefficients": [c.tolist()]} if given_c else {}
+    report = tmp_path / "verify_report.txt"
+
+    block = {"alpha": 0.3, "K": 3.0, "P": [[1.0, 0.0], [0.0, 0.0]], **extra}
+    assert run_cli(tmp_path, dict(NON_INVARIANT, mode="verify", certificate=block)) == 2
+    assert report_value(report, "failed_invariant") == "dichotomy.projection_invariant"
+    assert invariance_defect(report) == pytest.approx(0.52, abs=0.01)
+
+    assert run_cli(tmp_path, dict(NON_INVARIANT, mode="verify",
+                                  certificate={**own, **extra})) == 0
+    assert report_value(report, "certificate_pass") == "true"
+    assert invariance_defect(report) < 1e-15
 
 
 COS_SPEC = {"kind": "cos", "coefficient": [1.0], "omega": 1.0}

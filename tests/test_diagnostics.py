@@ -127,54 +127,3 @@ class TestAlmostPeriodScan:
                                       window=(-4, 4), real_shift_step=0.5)
         assert 1.0 in rep.passing_shifts
         assert 0.5 not in rep.passing_shifts
-
-
-class TestShiftLimitProbe:
-    def test_constant_zero_deviation(self):
-        f = sig.TrigPolynomial.constant([2.0])
-        rep = diag.shift_limit_probe(f, [1, 2, 3, 4, 5, 6], [0.0, 0.3])
-        assert rep.max_deviation == pytest.approx(0.0, abs=1e-14)
-
-    def test_periodic_integer_shifts_zero(self):
-        f = sig.TrigPolynomial.sine([1.0], 2 * np.pi)
-        rep = diag.shift_limit_probe(f, [3, 6, 9, 12], [0.1, 1.7])
-        assert rep.max_deviation < 1e-12
-
-    def test_continued_fraction_shifts_decay(self):
-        # denominators of sqrt(2) convergents: shifts nearly return the signal
-        f = sig.TrigPolynomial.sine([1.0], 2 * SQRT2 * np.pi)
-        early = diag.shift_limit_probe(f, [1, 2, 5, 12], [0.2, 0.9])
-        late = diag.shift_limit_probe(f, [29, 70, 169, 408], [0.2, 0.9])
-        assert late.max_deviation < early.max_deviation
-        assert late.max_deviation < 0.25
-
-
-class TestLipschitzProbe:
-    def test_zero_trajectory_any_claim(self):
-        system = DepcaSystem.build(np.array([[0.0]]), np.array([[-0.5]]),
-                                   sig.TrigPolynomial.constant([0.0]))
-        traj = solve_bounded_depca(system, -4, 4, 1e-9)
-        assert diag.lipschitz_probe(traj, 0.0, samples=500).passed
-
-    def test_solver_output_with_lemma_constant(self):
-        system = DepcaSystem.build(np.array([[0.0]]), np.array([[-0.5]]),
-                                   sig.TrigPolynomial.cosine([1.0], 2 * np.pi))
-        traj = solve_bounded_depca(system, -6, 6, 1e-9)
-        ts = np.linspace(-6, 6, 1201)
-        sup_x = float(np.max(np.abs(traj.evaluate_grid(ts))))
-        verdict = diag.lipschitz_probe(traj, 0.5 * sup_x + 1.0, samples=10000)
-        assert verdict.passed
-        assert verdict.seed == diag.DEFAULT_SEED
-
-    def test_zero_claim_fails_on_nonconstant(self):
-        system = DepcaSystem.build(np.array([[0.0]]), np.array([[-0.5]]),
-                                   sig.TrigPolynomial.cosine([1.0], 2 * np.pi))
-        traj = solve_bounded_depca(system, -4, 4, 1e-9)
-        assert not diag.lipschitz_probe(traj, 0.0, samples=200).passed
-
-    def test_sample_floor(self):
-        system = DepcaSystem.build(np.array([[0.0]]), np.array([[-0.5]]),
-                                   sig.TrigPolynomial.constant([0.0]))
-        traj = solve_bounded_depca(system, -3, 3, 1e-9)
-        with pytest.raises(ValueError):
-            diag.lipschitz_probe(traj, 1.0, samples=50)

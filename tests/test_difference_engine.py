@@ -2,6 +2,7 @@
 
 from typing import Callable
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -10,9 +11,7 @@ from depca.difference_engine import (
     DichotomyCertificate,
     DifferenceSystem,
     GreenFunction,
-    bi_shift_invariance_check,
     bound_check,
-    build_fundamental,
     certify_constant,
     recursion_residual,
     solve_bounded,
@@ -82,6 +81,18 @@ def mixed_3x3():
     return v @ np.diag([0.3, 0.6, 1.8]) @ np.linalg.inv(v)
 
 
+def mp_stable_projector(m: mp.matrix) -> tuple[mp.matrix, list]:
+    """The spectral projector of a diagonalizable m onto its eigenvalues
+    inside the unit circle, and the moduli of all its eigenvalues."""
+    vals, vecs = mp.eig(m)
+    inside = mp.diag([1 if abs(v) < 1 else 0 for v in vals])
+    return vecs * inside * mp.inverse(vecs), [abs(v) for v in vals]
+
+
+def to_float(m: mp.matrix) -> np.ndarray:
+    return np.array(m.tolist(), dtype=complex).real
+
+
 class TestCertifyConstant:
     def test_scalar_stable(self):
         cert = certify_constant(np.array([[0.5]]))
@@ -126,8 +137,7 @@ class TestVerifyCertificate:
     def test_own_certificate_passes(self):
         c = np.array([[0.5]])
         cert = certify_constant(c)
-        sys = DifferenceSystem.constant(c, const_h([1.0]))
-        report = verify_certificate(sys, cert, 20)
+        report = verify_certificate(cert, 20)
         assert report.passed
         assert report.worst_decay_margin >= 0.0
 
@@ -135,50 +145,84 @@ class TestVerifyCertificate:
         c = np.array([[0.5]])
         cert = certify_constant(c)
         bad = DichotomyCertificate(cert.alpha + 1.0, cert.K, cert.projection,
-                                   cert.fundamental, cert.constant_coefficient)
-        sys = DifferenceSystem.constant(c, const_h([1.0]))
-        report = verify_certificate(sys, bad, 20)
+                                   cert.coefficients)
+        report = verify_certificate(bad, 20)
         assert not report.passed
         assert report.failed_invariant == "dichotomy.green_decay"
         assert report.worst_decay_margin < 0.0
 
     def test_degenerate_window(self):
         c = np.array([[0.5]])
-        sys = DifferenceSystem.constant(c, const_h([1.0]))
-        assert verify_certificate(sys, certify_constant(c), 1).passed
+        assert verify_certificate(certify_constant(c), 1).passed
 
     def test_periodic_system_user_certificate(self):
         # alternating scalar coefficients 0.5, 0.25: Y decays like sqrt(1/8)^n
         mats = [np.array([[0.5]]), np.array([[0.25]])]
-        sys = DifferenceSystem.periodic(mats, const_h([0.0]))
-        y = build_fundamental(sys)
-        cert = DichotomyCertificate(0.5 * np.log(8.0), 2.1, np.array([[1.0]]), y)
-        assert verify_certificate(sys, cert, 15).passed
+        cert = DichotomyCertificate(0.5 * np.log(8.0), 2.1, np.array([[1.0]]), mats)
+        assert verify_certificate(cert, 15).passed
+
+
+def shift_deviation(green: GreenFunction, shifts, window: int) -> float:
+    """max |G(m+s, l+s) - G(m, l)| over the shifts s and |m|, |l| <= window."""
+    rng = range(-window, window + 1)
+    return max(float(np.max(np.abs(green(m + s, l + s) - green(m, l))))
+               for s in shifts for m in rng for l in rng)
 
 
 class TestBiShiftInvariance:
+    """G(m+s, l+s) = G(m, l) for every shift s that is a multiple of the
+    period, the discrete Bi-almost-automorphy of a periodic system."""
+
+    TWO_PERIODIC = [np.array([[0.5]]), np.array([[0.25]])]
+
     def test_constant_exact(self):
         cert = certify_constant(np.array([[0.5]]))
-        report = bi_shift_invariance_check(cert.green_function(), [1, 2, 5], 10)
-        assert report.exact_by_translation_invariance
-        assert report.max_deviation == 0.0
+        assert shift_deviation(cert.green_function(), [1, 2, 5], 10) == 0.0
 
     def test_periodic_even_shifts_invariant(self):
-        mats = [np.array([[0.5]]), np.array([[0.25]])]
-        sys = DifferenceSystem.periodic(mats, const_h([0.0]))
         cert = DichotomyCertificate(0.5 * np.log(8.0), 2.1, np.array([[1.0]]),
-                                    build_fundamental(sys))
-        report = bi_shift_invariance_check(cert.green_function(), [2, 4, -6], 8)
-        assert report.max_deviation < 1e-12
+                                    self.TWO_PERIODIC)
+        assert shift_deviation(cert.green_function(), [2, 4, -6], 8) < 1e-12
 
     def test_periodic_odd_shift_detected(self):
-        mats = [np.array([[0.5]]), np.array([[0.25]])]
-        sys = DifferenceSystem.periodic(mats, const_h([0.0]))
         cert = DichotomyCertificate(0.5 * np.log(8.0), 2.1, np.array([[1.0]]),
-                                    build_fundamental(sys))
-        report = bi_shift_invariance_check(cert.green_function(), [1], 8)
+                                    self.TWO_PERIODIC)
         # G(1, 0) is c(0) = 0.5 but G(2, 1) is c(1) = 0.25
-        assert report.max_deviation >= 0.2
+        assert shift_deviation(cert.green_function(), [1], 8) >= 0.2
+
+
+class TestGreenFunctionLift:
+    """G on the Floquet lift equals Y(m) P Y^-1(l) of the periodic system."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 14, 17, 19, 21])
+    def test_matches_the_fundamental_matrix_in_40_digits(self, seed):
+        # C(k) = I + 0.6 N(0, 1): q in 2..4, p in 2..3, a mixed spectrum of
+        # M, P the exact projector of M
+        rng = np.random.default_rng(seed)
+        q, p = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        mats = [np.eye(p) + 0.6 * rng.standard_normal((p, p)) for _ in range(q)]
+        with mp.workdps(40):
+            cs = [mp.matrix(c.tolist()) for c in mats]
+            ys = {0: mp.eye(p)}
+            for n in range(10):
+                ys[n + 1] = cs[n % q] * ys[n]
+                ys[-n - 1] = mp.inverse(cs[(-n - 1) % q]) * ys[-n]
+            yinvs = {n: mp.inverse(y) for n, y in ys.items()}
+            proj, moduli = mp_stable_projector(ys[q])
+            assert min(moduli) < 1 < max(moduli)
+            green = DichotomyCertificate(0.1, 1.0, to_float(proj), mats).green_function()
+            for m in range(-10, 11):
+                for l in range(-10, 11):
+                    ref = to_float(ys[m] * (proj if m >= l else proj - mp.eye(p))
+                                   * yinvs[l])
+                    assert mat_norm(green(m, l) - ref) <= 1e-12 * mat_norm(ref)
+
+    def test_constant_lift_keeps_the_coefficient(self):
+        c = mixed_3x3()
+        green = certify_constant(c).green_function()
+        np.testing.assert_array_equal(green.monodromy, c)
+        np.testing.assert_array_equal(green.stable_step,
+                                      green.monodromy @ green.certificate.projection)
 
 
 class TestSolveBounded:
@@ -257,6 +301,14 @@ class TestSolveBounded:
         fine = solve_bounded(sys, cert, -15, 15, tol / 10.0)
         assert np.max(np.abs(coarse - fine)) <= 1.1 * tol
 
+    @pytest.mark.parametrize("n1", [0, 800])
+    def test_overflowing_forcing_fails_typed(self, n1):
+        # e^|n| overflows to inf past n = 709: on [0, 800] already, and on
+        # [0, 0] at the second radius, as alpha = 0.9 ln(1/0.9) is small
+        sys = DifferenceSystem.constant([[0.9]], lambda n: np.array([np.exp(abs(n))]))
+        with np.errstate(over="ignore"), pytest.raises(WindowTooSmallError):
+            solve_bounded(sys, certify_constant([[0.9]]), 0, n1, 1e-10)
+
     def test_growing_forcing_fails_typed(self):
         # with alpha = 0.9 ln 2 each round's radius reaches e^|n| large enough
         # to need about 1.6 times the radius again, so it never settles
@@ -269,8 +321,7 @@ class TestBoundCheck:
     def test_scalar_bound_arithmetic(self):
         # with K = 1, alpha = ln 2 the bound is (1 + 0.5)/(1 - 0.5) = 3 >= 2
         cert = DichotomyCertificate(np.log(2.0), 1.0, np.array([[1.0]]),
-                                    lambda n: np.array([[0.5 ** n]]),
-                                    np.array([[0.5]]))
+                                    (np.array([[0.5]]),))
         xs = np.full((21, 1), 2.0 + 0j)
         report = bound_check(xs, cert, 1.0)
         assert report.certified_bound == pytest.approx(3.0)
@@ -280,6 +331,35 @@ class TestBoundCheck:
         cert = certify_constant(np.array([[0.5]]))
         report = bound_check(np.zeros((5, 1), dtype=complex), cert, 0.0)
         assert report.passed
+
+    def test_solution_bound_against_a_30_digit_green_sum(self):
+        # h(n) = v cos(0.7 n) = Re(v e^{0.7 i n}), so the Green sum
+        # x(n) = sum_k G(n, k+1) h(k) is Re(e^{0.7 i n} w) with
+        # w = sum_{j>=0} (CP)^j P v e^{-0.7 i (j+1)} - sum_{j>=1} (C^-1 Q)^j v e^{0.7 i (j-1)}
+        c = mixed_3x3()
+        v = np.array([1.0, -0.5, 0.25])
+        cert = certify_constant(c)
+        sys = DifferenceSystem.constant(c, lambda n: v * np.cos(0.7 * n))
+        xs = solve_bounded(sys, cert, -30, 30, 1e-12)
+        with mp.workdps(30):
+            cm, vm = mp.matrix(c.tolist()), mp.matrix(v.tolist())
+            proj, _ = mp_stable_projector(cm)
+            stable = cm * proj
+            unstable = mp.inverse(cm) * (mp.eye(3) - proj)
+            w, s_term, u_term = mp.matrix(3, 1), proj * vm, vm
+            for j in range(200):
+                u_term = unstable * u_term
+                w += s_term * mp.expj(-0.7 * (j + 1)) - u_term * mp.expj(0.7 * j)
+                s_term = stable * s_term
+            assert mp.mnorm(s_term, 1) + mp.mnorm(u_term, 1) < mp.mpf(10) ** -28
+            exact = np.array([to_float(mp.expj(0.7 * n) * w).ravel()
+                              for n in range(-30, 31)])
+        np.testing.assert_allclose(xs.real, exact, rtol=0, atol=1e-10)
+        sup_x = float(np.max(np.abs(exact)))
+        # alpha = 0.460 and K = 2.00 give the bound 8.86 for sup|h| = |v| = 1,
+        # against sup|x| = 1.81 on [-30, 30]
+        bound = cert.solution_bound(sup_norm(v))
+        assert sup_x <= bound <= 10.0 * sup_x
 
     def test_unstable_plugin(self):
         cert = certify_constant(np.array([[2.0]]))
@@ -344,7 +424,6 @@ class TestExactDichotomyConstant:
     def test_non_constant_certificate_rejected(self):
         mats = [np.array([[0.5]]), np.array([[0.25]])]
         sys = DifferenceSystem.periodic(mats, const_h([1.0]))
-        cert = DichotomyCertificate(0.5 * np.log(8.0), 2.1, np.array([[1.0]]),
-                                    build_fundamental(sys))
+        cert = DichotomyCertificate(0.5 * np.log(8.0), 2.1, np.array([[1.0]]), mats)
         with pytest.raises(InvalidCertificateError):
             solve_bounded(sys, cert, -5, 5, 1e-10)

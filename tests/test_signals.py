@@ -43,27 +43,27 @@ class TestEvaluate:
 class TestShift:
     def test_rational_periodic_integer_period_invariant(self):
         f = sig.RationalPeriodic.from_samples(1, 1, [[1.0], [2.0], [-0.5]])
-        g = sig.shift(f, 1)
+        g = f.shift(1)
         ts = np.linspace(-5, 5, 1000)
         assert np.max(np.abs(g.evaluate_grid(ts) - f.evaluate_grid(ts))) < 1e-12
 
     def test_step_index_arithmetic(self):
         f = sig.StepOfSequence.from_sequence(lambda n: np.array([float(n)]))
-        g = sig.shift(f, 2)
+        g = f.shift(2)
         np.testing.assert_allclose(g.evaluate(0.5), [2.0])
 
     def test_trig_phase_rotation_pointwise(self):
         f = sig.TrigPolynomial.from_terms(
             [([1.0 + 0.5j], 2 * np.pi * 3 / 7), ([0.3], -1.1)])
         s = 5
-        g = sig.shift(f, s)
+        g = f.shift(s)
         ts = np.linspace(-10, 10, 1000)
         np.testing.assert_allclose(g.evaluate_grid(ts),
                                    f.evaluate_grid(ts + s), atol=1e-12)
 
     def test_aa_test_shift_exact(self):
         f = sig.AATest.from_amplitude([1.0])
-        g = sig.shift(f, 3)
+        g = f.shift(3)
         for t in np.linspace(-3, 3, 101):
             np.testing.assert_allclose(g.evaluate(t), f.evaluate(t + 3), atol=1e-12)
 
@@ -74,8 +74,8 @@ class TestShift:
             sig.TrigPolynomial.cosine([1.0], np.sqrt(2)),
             sig.StepOfSequence.from_periodic_values([[0.5], [1.5], [-1.0]]),
         )
-        lhs = sig.shift(sig.shift(f, a), b)
-        rhs = sig.shift(f, a + b)
+        lhs = f.shift(a).shift(b)
+        rhs = f.shift(a + b)
         ts = np.linspace(-3, 3, 41)
         assert np.max(np.abs(lhs.evaluate_grid(ts) - rhs.evaluate_grid(ts))) < 1e-12
 
@@ -100,7 +100,7 @@ class TestStructure:
         f = sig.RationalPeriodic.from_samples(6, 5, [[1.0, 0.5], [-0.7, 0.2],
                                                      [0.3, -1.0]])
         ts = np.concatenate([np.linspace(-9.3, 9.3, 997), 0.4 * np.arange(-20, 21)])
-        for g in (f, sig.shift(f, 7), sig.component(f, 1),
+        for g in (f, f.shift(7), sig.linear_map([[0.0, 1.0]], f),
                   sig.linear_map([[1.0, 2.0], [0.0, -1.0], [3.0, 3.0]], f)):
             pointwise = np.stack([g.evaluate(float(t)) for t in ts])
             np.testing.assert_allclose(g.evaluate_grid(ts), pointwise,
@@ -200,13 +200,12 @@ class TestCompose:
 class TestLinearOps:
     def test_sample_on_integers(self):
         f = sig.TrigPolynomial.constant([1.0])
-        np.testing.assert_allclose(sig.sample_on_integers(f, 0, 3),
-                                   np.ones((4, 1)))
+        np.testing.assert_allclose(f.evaluate_grid(np.arange(0, 4)), np.ones((4, 1)))
         g = sig.StepOfSequence.from_periodic_values([[1.0], [-1.0]])
-        np.testing.assert_allclose(sig.sample_on_integers(g, 0, 2).ravel(),
+        np.testing.assert_allclose(g.evaluate_grid(np.arange(0, 3)).ravel(),
                                    [1.0, -1.0, 1.0])
         h = sig.TrigPolynomial.exponential([1.0], 2 * np.pi)
-        np.testing.assert_allclose(sig.sample_on_integers(h, 0, 2).ravel(),
+        np.testing.assert_allclose(h.evaluate_grid(np.arange(0, 3)).ravel(),
                                    [1.0, 1.0, 1.0], atol=1e-12)
 
     def test_linear_map_exact_for_trig(self):
@@ -219,7 +218,7 @@ class TestLinearOps:
 
     def test_component(self):
         f = sig.TrigPolynomial.cosine([1.0, -2.0], 1.5)
-        c1 = sig.component(f, 1)
+        c1 = sig.linear_map([[0.0, 1.0]], f)
         for t in (-0.3, 0.8):
             np.testing.assert_allclose(c1.evaluate(t), [f.evaluate(t)[1]])
 
@@ -238,7 +237,7 @@ class TestLinearOps:
             np.testing.assert_allclose(g.evaluate(t),
                                        np.exp(0.7j * t) * f.evaluate(t), atol=1e-14)
         # shifting a modulated signal stays exact
-        h = sig.shift(g, 2)
+        h = g.shift(2)
         for t in (-0.5, 0.25):
             np.testing.assert_allclose(h.evaluate(t), g.evaluate(t + 2), atol=1e-13)
 
