@@ -424,21 +424,14 @@ def _solve_common(config: RunConfig, report: Report, reduce_mode: bool):
     report.set("recursion_residual", d.recursion_residual)
     report.set("residual_max", d.residual_max)
     report.set("residual_tol", d.residual_tol)
-    if d.certificate is not None:
-        cert = d.certificate
-        report.set("alpha", cert.alpha)
-        report.set("K", cert.K)
-        sup_forcing = d.sup_forcing
-        if traj.cascade is not None:
-            # the certificate is for T^-1 C T, whose samples y = T^-1 x obey
-            # |x| <= ||T|| |y| and whose forcing obeys |T^-1 h| <= ||T^-1|| |h|
-            t_mat = traj.cascade.transform
-            sup_forcing *= mat_norm(t_mat) * mat_norm(np.linalg.inv(t_mat))
-        bc = bound_check(
-            np.stack([traj.integer_samples[n] for n in range(traj.n0, traj.n1 + 1)]),
-            cert, sup_forcing, slack=3 * config.tol)
-        report.set("bound_certified", bc.certified_bound)
-        report.set("bound_holds", bc.passed)
+    cert = d.certificate
+    report.set("alpha", cert.alpha)
+    report.set("K", cert.K)
+    bc = bound_check(
+        np.stack([traj.integer_samples[n] for n in range(traj.n0, traj.n1 + 1)]),
+        cert, d.sup_forcing, slack=3 * config.tol)
+    report.set("bound_certified", bc.certified_bound)
+    report.set("bound_holds", bc.passed)
     return system, traj
 
 
@@ -463,7 +456,7 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
     try:
         if config.mode in ("solve", "reduce"):
             system, traj = _solve_common(config, report, config.mode == "reduce")
-            if config.mode == "reduce" and traj.cascade is not None:
+            if config.mode == "reduce":
                 trace = traj.cascade
                 report.note("cascade transform rows:")
                 for i, row in enumerate(trace.transform):

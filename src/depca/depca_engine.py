@@ -397,7 +397,7 @@ class TrajectoryDiagnostics:
     recursion_residual: float
     residual_max: float
     residual_tol: float
-    certificate: DichotomyCertificate | None
+    certificate: DichotomyCertificate
     sup_samples: float
     sup_forcing: float              # max |h(n)| over n0 - 1 <= n <= n1
     screen: ZInvertibilityReport | None = None  # None for solve_by_reduction
@@ -408,8 +408,7 @@ class HybridTrajectory:
     """Integer samples plus per-interval continuous segments.
 
     ``evaluate`` is exact propagation within [n, n+1): the value is
-    Z(t, n) x(n) + H(t), from ``stitch_trajectory`` for both solvers (the
-    reduction solver applies it in the triangular basis and maps back).
+    Z(t, n) x(n) + H(t), from ``stitch_trajectory`` for both solvers.
     Valid for n0 <= t <= n1.
     """
 
@@ -486,49 +485,34 @@ def certify_companion(c) -> DichotomyCertificate:
 
 def stitch_trajectory(system: DepcaSystem, dsys: DifferenceSystem,
                       xs: np.ndarray, n0: int, n1: int, tol: float,
-                      quad_tol: float,
-                      certificate: DichotomyCertificate | None = None,
-                      transform: np.ndarray | None = None,
-                      original: DepcaSystem | None = None) -> HybridTrajectory:
+                      quad_tol: float, certificate: DichotomyCertificate
+                      ) -> HybridTrajectory:
     """The trajectory through the samples ``xs`` (n = n0..n1) of the
-    companion system ``dsys`` of ``system``, with its checks.
+    companion system ``dsys`` of ``system``, certified by ``certificate``,
+    with its checks.
 
     Segments follow the exact propagation formula Z(t, n) x(n) + H(t).
-    With ``transform`` T, ``system`` is ``original`` in the basis T: samples
-    and segments are mapped back by T, and the ODE residual is checked
-    against ``original``.  Continuity at the integers and the interior ODE
-    residual are verified before returning.
+    Continuity at the integers and the interior ODE residual are verified
+    before returning.
     """
-    if transform is None:
-        def to_x(v: np.ndarray) -> np.ndarray:
-            return v
-        scale = 1.0
-    else:
-        def to_x(v: np.ndarray) -> np.ndarray:
-            return transform @ v
-        scale = mat_norm(transform)
-
     # the left limit at n+1 of the segment on [n, n+1) is exactly
     # Z(n+1, n) x(n) + h(n) = C x(n) + h(n), so the continuity defect at the
-    # integers is the recursion residual (times ||T|| in the original basis)
-    rec_res = recursion_residual(dsys, xs, n0)
-    continuity = scale * rec_res
-    if continuity > 10.0 * tol * scale:
+    # integers is the recursion residual
+    continuity = recursion_residual(dsys, xs, n0)
+    if continuity > 10.0 * tol:
         raise ContinuityBreachError(
-            f"stitching defect {continuity:.3e} exceeds "
-            f"{10 * tol * scale:.3e}"
+            f"stitching defect {continuity:.3e} exceeds {10 * tol:.3e}"
         )
 
-    samples = {n: to_x(xs[i]) for i, n in enumerate(range(n0, n1 + 1))}
+    samples = {n: xs[i] for i, n in enumerate(range(n0, n1 + 1))}
 
     def segment(n: int, t: float) -> np.ndarray:
         u = t - n
-        return to_x(propagator(system, u, 0.0) @ xs[n - n0]
-                    + interval_forcing(system, n, u, quad_tol))
+        return (propagator(system, u, 0.0) @ xs[n - n0]
+                + interval_forcing(system, n, u, quad_tol))
 
     traj = HybridTrajectory(n0, n1, system.dimension, samples, segment)
-    residual_max, residual_tol = ode_residual_check(
-        traj, system if original is None else original)
+    residual_max, residual_tol = ode_residual_check(traj, system)
     if residual_max > residual_tol:
         raise ResidualCheckError(
             f"interior ODE residual {residual_max:.3e} exceeds "
@@ -536,13 +520,13 @@ def stitch_trajectory(system: DepcaSystem, dsys: DifferenceSystem,
         )
     traj.diagnostics = TrajectoryDiagnostics(
         continuity_max=continuity,
-        continuity_tol=10.0 * tol * scale,
-        recursion_residual=rec_res,
+        continuity_tol=10.0 * tol,
+        recursion_residual=continuity,
         residual_max=residual_max,
         residual_tol=residual_tol,
         certificate=certificate,
         sup_samples=traj.sup_samples(),
-        sup_forcing=max(sup_norm(to_x(dsys.h(n))) for n in range(n0 - 1, n1 + 1)),
+        sup_forcing=max(sup_norm(dsys.h(n)) for n in range(n0 - 1, n1 + 1)),
     )
     return traj
 
@@ -552,20 +536,16 @@ def quad_tol_for(tol: float) -> float:
     return min(0.05 * tol, 1e-11)
 
 
-def _solve_companion(system: DepcaSystem, n0: int, n1: int, tol: float,
-                     transform: np.ndarray | None = None,
-                     original: DepcaSystem | None = None
+def _solve_companion(system: DepcaSystem, n0: int, n1: int, tol: float
                      ) -> tuple[HybridTrajectory, np.ndarray]:
     """Reduce to x(n+1) = C x(n) + h(n), certify the dichotomy of C, sum
     the Green series once, and stitch; returns the trajectory and the
-    samples x(n), n = n0..n1, in the basis of ``system``."""
+    samples x(n), n = n0..n1."""
     quad_tol = quad_tol_for(tol)
     dsys = reduce_to_difference(system, quad_tol)
     cert = certify_companion(dsys.constant_coefficient)
     xs = solve_bounded(dsys, cert, n0, n1, tol)
-    return stitch_trajectory(system, dsys, xs, n0, n1, tol, quad_tol,
-                             certificate=cert, transform=transform,
-                             original=original), xs
+    return stitch_trajectory(system, dsys, xs, n0, n1, tol, quad_tol, cert), xs
 
 
 def solve_bounded_depca(system: DepcaSystem, n0: int, n1: int, tol: float

@@ -1,16 +1,14 @@
 """Triangular cascade solver.
 
-When A and B triangularize simultaneously, the transformed system
-(T^-1 A T, T^-1 B T, T^-1 f) has an upper triangular companion
-C = T^-1 Z(1, 0) T, so its difference system y(n+1) = C y(n) + h(n)
-decouples on the integers from the last row up: level i is the scalar
-recursion y_i(n+1) = c_ii y_i(n) + [h_i(n) + sum_{j>i} c_ij y_j(n)].  That
-back-substitution is exactly what the direct solver's vector Green sum
-does for a triangular C, so the transformed system goes through the same
-sequence as ``solve_bounded_depca``: one ``reduce_to_difference``, one
-certificate of C, one ``solve_bounded`` sweep on the solve window, and
-``stitch_trajectory``, which maps samples and segments back by x = T y
-and checks the ODE residual against the original system.
+When A and B triangularize simultaneously by T, the companion of the
+system in the basis T is T^-1 C T, upper triangular with diagonal
+c_ii = scalar_companion(a_ii, b_ii): the levels y = T^-1 x decouple on the
+integers from the last row up.  A change of basis moves neither the
+spectrum nor the dichotomy of C, so the cascade only screens the diagonal
+pairs and reports the levels; the solve itself is the direct solver's
+sequence on the caller's system (one ``reduce_to_difference``, one
+certificate of C, one ``solve_bounded`` sweep, ``stitch_trajectory``),
+and the level samples are read back as y(n) = T^-1 x(n).
 """
 
 from __future__ import annotations
@@ -45,28 +43,19 @@ class TriangularCascade:
     """Joint triangularization plus the per-level scalar data."""
 
     transform: np.ndarray
-    a_upper: np.ndarray
-    b_upper: np.ndarray
-    forcing: sig.Signal
     diagonal_pairs: tuple[tuple[complex, complex], ...]
-
-    @property
-    def dimension(self) -> int:
-        return self.transform.shape[0]
 
 
 def build_cascade(system: DepcaSystem, user_t=None) -> TriangularCascade:
-    """Triangularize (A, B), transform the forcing, and vet every
-    diagonal eigenvalue pair against the invertibility condition."""
+    """Triangularize (A, B) and vet every diagonal eigenvalue pair against
+    the invertibility condition."""
     t, a_upper, b_upper = simultaneous_triangularize(system.a, system.b, user_t)
-    transformed = sig.linear_map(np.linalg.inv(t), system.forcing)
-
     failures = eigenvalue_pair_failures(a_upper, b_upper)
     if failures:
         raise EigenConditionFailError(*failures[0])
     pairs = tuple((complex(a_upper[i, i]), complex(b_upper[i, i]))
                   for i in range(system.dimension))
-    return TriangularCascade(t, a_upper, b_upper, transformed, pairs)
+    return TriangularCascade(t, pairs)
 
 
 def solve_scalar_depca(alpha: complex, beta: complex, z: sig.Signal,
@@ -99,31 +88,28 @@ def solve_by_reduction(system: DepcaSystem, user_t=None, n0: int = 0,
                        n1: int = 1, tol: float = 1e-9) -> HybridTrajectory:
     """Solve the hybrid system through its triangular companion.
 
-    Builds the cascade, then solves the transformed system with the direct
-    solver's sequence (reduction, certificate, one Green sum, stitching
-    back by T), without its grid screen: ``build_cascade`` has already
-    vetted every diagonal pair.  A level whose companion coefficient c_ii
-    lies on the unit circle raises NoDichotomyError naming that level.  The
-    result carries a cascade trace with each level's c_ii and the sup of
-    its samples y_i(n) over the solve window.
+    Builds the cascade, then solves the caller's system with the direct
+    solver's sequence (reduction, certificate, one Green sum, stitching),
+    without its grid screen: ``build_cascade`` has already vetted every
+    diagonal pair.  A level whose companion coefficient c_ii lies on the
+    unit circle raises NoDichotomyError naming that level.  The result
+    carries a cascade trace with each level's c_ii and the sup of its
+    samples y_i(n) = (T^-1 x(n))_i over the solve window.
     """
     if n0 >= n1:
         raise ValueError("need n0 < n1")
     cascade = build_cascade(system, user_t)
-    tsys = DepcaSystem.build(cascade.a_upper, cascade.b_upper, cascade.forcing)
     companions = [scalar_companion(*pair) for pair in cascade.diagonal_pairs]
     try:
-        traj, ys = _solve_companion(tsys, n0, n1, tol,
-                                    transform=cascade.transform, original=system)
+        traj, xs = _solve_companion(system, n0, n1, tol)
     except NoDichotomyError as exc:
-        # the eigenvalues of the triangular companion are its c_ii
+        # the eigenvalues of C are those of T^-1 C T, its c_ii
         lam = exc.__cause__.eigenvalue
         i = int(np.argmin([abs(c - lam) for c in companions]))
         raise NoDichotomyError(f"cascade level {i}: {exc}") from exc
-    traj.cascade = CascadeTrace(
-        cascade.transform,
-        tuple(LevelTrace(i, *cascade.diagonal_pairs[i], companions[i],
-                         sup_norm(ys[:, i]))
-              for i in range(cascade.dimension)),
-    )
+    levels = np.linalg.solve(cascade.transform, xs.T)  # row i: y_i(n), n0..n1
+    traj.cascade = CascadeTrace(cascade.transform, tuple(
+        LevelTrace(i, *pair, c, sup_norm(y))
+        for i, (pair, c, y) in enumerate(zip(cascade.diagonal_pairs, companions,
+                                             levels))))
     return traj

@@ -4,7 +4,7 @@ The catalog covers trigonometric polynomials (almost periodic), integer-step
 signals lifted from sequences (discontinuous on the integers), exactly
 rational-periodic signals, a standard almost-automorphic-but-not-almost-
 periodic test family, sums, compositions with a fixed set of continuous
-outer maps, and evaluator-backed signals (the fallback of ``linear_map``).
+outer maps, and evaluator-backed signals.
 Signals are immutable; evaluation is pure.
 
 The module also holds the library's one quadrature rule, the 10-point
@@ -477,7 +477,8 @@ def compose(outer, inner: Signal) -> Composite:
 
 @dataclass(frozen=True)
 class CallableSignal(Signal):
-    """Evaluator-backed signal.
+    """Evaluator-backed signal; ``fn(0.0)`` is probed once at construction,
+    so a function of the wrong length fails there.
 
     It declares no bound, so ``sup_bound`` is 0; a solver that needs sup|f|
     (``massera_solve``) samples |f| itself.
@@ -485,27 +486,19 @@ class CallableSignal(Signal):
 
     fn: Callable[[float], np.ndarray]
     dimension: int
-    breaks_fn: Callable[[float, float], list[float]] | None = None
+
+    def __post_init__(self):
+        _as_coef(self.fn(0.0), self.dimension)
 
     def evaluate(self, t: float) -> np.ndarray:
         return _as_coef(self.fn(float(t)), self.dimension)
 
     def shift(self, s: int) -> "CallableSignal":
         base = self.fn
-        breaks = self.breaks_fn
-        shifted_breaks = None
-        if breaks is not None:
-            shifted_breaks = lambda a, b: [t - s for t in breaks(a + s, b + s)]
-        return CallableSignal(lambda t: base(t + s), self.dimension,
-                              shifted_breaks)
+        return CallableSignal(lambda t: base(t + s), self.dimension)
 
     def sup_bound(self) -> float:
         return 0.0
-
-    def breakpoints_in(self, a: float, b: float) -> list[float]:
-        if self.breaks_fn is None:
-            return []
-        return self.breaks_fn(a, b)
 
 
 @dataclass(frozen=True)
@@ -542,36 +535,6 @@ def modulate(f: Signal, omega: float) -> Signal:
     if terms is not None:
         return TrigPolynomial(tuple((c, w + omega) for c, w in terms), f.dimension)
     return Modulated(f, float(omega), 1.0 + 0j, f.dimension)
-
-
-def linear_map(m, f: Signal) -> Signal:
-    """The signal t -> M f(t), exact for the linear catalog kinds."""
-    m = np.atleast_2d(np.asarray(m))
-    if m.shape[1] != f.dimension:
-        raise ValueError("matrix does not match the signal dimension")
-    out_dim = m.shape[0]
-    if isinstance(f, TrigPolynomial):
-        return TrigPolynomial(tuple((m @ c, w) for c, w in f.terms), out_dim)
-    if isinstance(f, StepOfSequence):
-        base = f
-        return StepOfSequence(lambda n: m @ base.sequence_value(n - base.offset),
-                              out_dim, base.offset,
-                              None if f.declared_sup is None
-                              else f.declared_sup * float(np.max(np.sum(np.abs(m), axis=1))))
-    if isinstance(f, Sum):
-        return Sum(tuple(linear_map(m, p) for p in f.parts), out_dim)
-    if isinstance(f, AATest):
-        return AATest(m @ f.amplitude, out_dim, f.phase1, f.phase2)
-    if isinstance(f, RationalPeriodic):
-        rule = f.rule
-        return RationalPeriodic(f.p0, f.q0, lambda tau: m @ np.atleast_1d(rule(tau)),
-                                out_dim, f.phase, f.rule_breaks, None,
-                                None if f.table is None else f.table @ m.T)
-    if isinstance(f, Modulated):
-        return Modulated(linear_map(m, f.base), f.omega, f.gain, out_dim)
-    breaks = f.breakpoints_in
-    return CallableSignal(lambda t: m @ f.evaluate(t), out_dim,
-                          lambda a, b: breaks(a, b))
 
 
 # ---------------------------------------------------------------------------

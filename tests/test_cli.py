@@ -71,8 +71,8 @@ def test_solve_reduces_once_and_certifies_the_bound(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("a,b,extra", [
     ([[-1.0, 1.0], [0.0, -2.0]], [[-0.5, 0.3], [0.0, -0.25]], {}),
-    # the certificate is for T^-1 C T; with this T, sup |x| = 184 while the
-    # bound read in the T basis from sup |h| would be 1.64
+    # a badly scaled T: the certificate and the bound are still those of C
+    # itself (sup |x| = 184 against a bound of 763), not of T^-1 C T
     ([[-1.0, 1000.0], [0.0, -2.0]], [[0.0, 0.0], [0.0, 0.0]],
      {"forcing": {"kind": "constant", "value": [-316.0, 1.0]},
       "userT": [[1000.0, 0.0], [0.0, 1.0]]}),
@@ -94,6 +94,13 @@ def test_reduce_mode_reports_levels_and_certificate(tmp_path, a, b, extra):
         assert float(report_value(report, key)) > 0
     assert report_value(report, "bound_holds") == "true"
     assert "_window = " not in report.read_text()
+    # the bound certified for C, the companion of the caller's system
+    parsed = cli.config_from_dict(config)
+    dsys = reduce_to_difference(parsed.system(), quad_tol_for(parsed.tol))
+    sup_h = max(float(np.max(np.abs(dsys.h(n))))
+                for n in range(parsed.n0 - 1, parsed.n1 + 1))
+    assert float(report_value(report, "bound_certified")) == pytest.approx(
+        certify_constant(dsys.constant_coefficient).solution_bound(sup_h), rel=1e-9)
 
 
 def run_cli(tmp_path, config):

@@ -6,6 +6,7 @@ import pytest
 from depca import signals as sig
 from depca.depca_engine import DepcaSystem, solve_bounded_depca
 from depca.errors import EigenConditionFailError, NoDichotomyError
+from depca.matrix_core import simultaneous_triangularize
 from depca.reduction import (
     build_cascade,
     scalar_companion,
@@ -15,6 +16,7 @@ from depca.reduction import (
 
 A_TRI = np.array([[-1.0, 1.0], [0.0, -2.0]])
 B_TRI = np.array([[-0.5, 0.0], [0.0, -0.25]])
+B_COUPLED = np.array([[-0.5, 0.3], [0.0, -0.25]])
 
 
 def forcing_2d():
@@ -22,6 +24,17 @@ def forcing_2d():
         sig.TrigPolynomial.cosine([1.0, 0.0], 2 * np.pi),
         sig.TrigPolynomial.constant([0.0, 1.0]),
     )
+
+
+def assert_same_solution(red, direct, ts):
+    """Both solvers take one path, so their integer samples agree exactly;
+    segments agree to round-off, as the propagator caches keep the value of
+    whichever u first reached a rounded key."""
+    assert red.integer_samples.keys() == direct.integer_samples.keys()
+    for n, x in direct.integer_samples.items():
+        np.testing.assert_allclose(red.integer_samples[n], x, rtol=0, atol=0)
+    np.testing.assert_allclose(red.evaluate_grid(ts), direct.evaluate_grid(ts),
+                               rtol=0, atol=1e-14)
 
 
 class TestScalarCompanion:
@@ -46,15 +59,13 @@ class TestBuildCascade:
         assert cascade.diagonal_pairs == ((-1 + 0j, -0.5 + 0j), (-2 + 0j, -0.25 + 0j))
 
     def test_triangular_pair_read_off(self):
-        system = DepcaSystem.build(A_TRI, B_TRI, forcing_2d())
-        cascade = build_cascade(system)
+        t, a_upper, b_upper = simultaneous_triangularize(A_TRI, B_TRI)
+        np.testing.assert_allclose(t, np.eye(2))
+        np.testing.assert_allclose(a_upper, A_TRI)
+        np.testing.assert_allclose(b_upper, B_TRI)
+        cascade = build_cascade(DepcaSystem.build(A_TRI, B_TRI, forcing_2d()))
         np.testing.assert_allclose(cascade.transform, np.eye(2))
-        np.testing.assert_allclose(cascade.a_upper, A_TRI)
-        np.testing.assert_allclose(cascade.b_upper, B_TRI)
-        # the transformed forcing is the original
-        for t in (-0.4, 0.9):
-            np.testing.assert_allclose(cascade.forcing.evaluate(t),
-                                       forcing_2d().evaluate(t), atol=1e-14)
+        assert cascade.diagonal_pairs == ((-1 + 0j, -0.5 + 0j), (-2 + 0j, -0.25 + 0j))
 
     def test_eigen_condition_failure_surfaces(self):
         system = DepcaSystem.build(np.array([[0.0]]), np.array([[-1.0]]),
@@ -108,12 +119,7 @@ class TestSolveByReduction:
         system = DepcaSystem.build(A_TRI, B_TRI, forcing_2d())
         direct = solve_bounded_depca(system, -6, 6, tol)
         red = solve_by_reduction(system, None, -6, 6, tol)
-        for n in range(-6, 7):
-            np.testing.assert_allclose(red.integer_samples[n],
-                                       direct.integer_samples[n], atol=10 * tol)
-        ts = np.linspace(-5.9, 5.9, 119)
-        np.testing.assert_allclose(red.evaluate_grid(ts),
-                                   direct.evaluate_grid(ts), atol=10 * tol)
+        assert_same_solution(red, direct, np.linspace(-5.9, 5.9, 119))
 
     def test_scalar_reduction_equals_direct_exactly(self):
         tol = 1e-9
@@ -132,7 +138,12 @@ class TestSolveByReduction:
         scaled = solve_by_reduction(system, np.diag([2.0, 0.5]), -5, 5, tol)
         for n in range(-5, 6):
             np.testing.assert_allclose(scaled.integer_samples[n],
-                                       base.integer_samples[n], atol=5 * tol)
+                                       base.integer_samples[n], atol=0)
+        # the levels are read in the basis T
+        for lv_base, lv_scaled, scale in zip(base.cascade.levels,
+                                             scaled.cascade.levels, (2.0, 0.5)):
+            assert lv_scaled.sup_samples == pytest.approx(
+                lv_base.sup_samples / scale, rel=1e-14)
 
     def test_cascade_trace_contents(self):
         system = DepcaSystem.build(A_TRI, B_TRI, forcing_2d())
@@ -158,10 +169,23 @@ class TestSolveByReduction:
         system = DepcaSystem.build(A_TRI, B_TRI, forcing_2d())
         traj = solve_by_reduction(system, None, -5, 5, 1e-9)
         assert len(calls) == 1
-        # the certificate of the whole triangular companion reaches the result
+        # the certificate of C reaches the result; C has the spectrum of its
+        # triangular form, whose diagonal is the level companions
         cert = traj.diagnostics.certificate
-        np.testing.assert_allclose(np.diag(cert.constant_coefficient),
-                                   [lv.companion for lv in traj.cascade.levels])
+        np.testing.assert_allclose(
+            np.sort_complex(np.linalg.eigvals(cert.constant_coefficient)),
+            np.sort_complex([lv.companion for lv in traj.cascade.levels]),
+            rtol=1e-12)
+
+    def test_solves_the_callers_system(self, monkeypatch):
+        system = DepcaSystem.build(A_TRI, B_TRI, forcing_2d())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_by_reduction built a second system")
+
+        monkeypatch.setattr(DepcaSystem, "build", staticmethod(refuse))
+        traj = solve_by_reduction(system, None, -3, 3, 1e-9)
+        assert traj.diagnostics.residual_max <= traj.diagnostics.residual_tol
 
     def test_levels_pass_residual_checks(self):
         system = DepcaSystem.build(A_TRI, B_TRI, forcing_2d())
@@ -207,12 +231,15 @@ U_P3 = np.array([[-1.0, 0.4, 0.2], [0.0, 0.6, 0.3], [0.0, 0.0, -1.5]])
 V_P3 = np.array([[-0.3, 0.2, 0.1], [0.0, 0.2, -0.1], [0.0, 0.0, 0.4]])
 
 
+def conjugated_pair():
+    s_inv = np.linalg.inv(S_CONJ)
+    return S_CONJ @ U_P3 @ s_inv, S_CONJ @ V_P3 @ s_inv
+
+
 class TestConjugatedThreeLevels:
     def test_matches_direct_solver(self):
         tol = 1e-9
-        s_inv = np.linalg.inv(S_CONJ)
-        a = S_CONJ @ U_P3 @ s_inv
-        b = S_CONJ @ V_P3 @ s_inv
+        a, b = conjugated_pair()
         f = sig.Sum.of(
             sig.TrigPolynomial.cosine([1.0, -0.5, 0.25], 2 * np.pi),
             sig.StepOfSequence.from_periodic_values([[0.3, 0.1, -0.2],
@@ -220,17 +247,18 @@ class TestConjugatedThreeLevels:
         )
         red = solve_by_reduction(DepcaSystem.build(a, b, f), None, -4, 4, tol)
         direct = solve_bounded_depca(DepcaSystem.build(a, b, f), -4, 4, tol)
-        for n in range(-4, 5):
-            np.testing.assert_allclose(red.integer_samples[n],
-                                       direct.integer_samples[n], atol=10 * tol)
-        ts = np.linspace(-3.95, 3.95, 80)
-        np.testing.assert_allclose(red.evaluate_grid(ts),
-                                   direct.evaluate_grid(ts), atol=10 * tol)
+        assert_same_solution(red, direct, np.linspace(-3.95, 3.95, 80))
 
         levels = red.cascade.levels
         # companions 0.178 (stable), 2.096 (unstable), 0.430 (stable)
         moduli = sorted(abs(lv.companion) for lv in levels)
         assert moduli[0] < 1.0 < moduli[-1]
+
+
+def squared_step(dimension: int) -> sig.Signal:
+    values = [[0.5, -1.0, 0.25], [-0.3, 0.8, 1.2], [1.1, 0.2, -0.6]]
+    return sig.compose("square", sig.StepOfSequence.from_periodic_values(
+        [v[:dimension] for v in values]))
 
 
 class TestQuadratureFreeCascade:
@@ -244,34 +272,32 @@ class TestQuadratureFreeCascade:
             calls.append(args)
             return adaptive_gl(*args, **kwargs)
 
-        monkeypatch.setattr(depca_engine, "adaptive_gl", counting)
-        b_coupled = np.array([[-0.5, 0.3], [0.0, -0.25]])
-        system = DepcaSystem.build(A_TRI, b_coupled, forcing_2d())
-        traj = solve_by_reduction(system, None, -4, 4, 1e-9)
-        traj.evaluate_grid(np.linspace(-4, 4, 41))
-        # trig and constant forcing have closed-form h(n) and segments in the
-        # triangular basis (solving each level as a continuous-time equation
-        # with evaluator-backed forcing made 393 calls here)
-        assert calls == []
+        # trig, constant and composite-of-step forcing have closed-form h(n)
+        # and segments, whatever basis triangularizes the pair
+        ts = np.linspace(-4, 4, 41)
+        for (a, b), f in [((A_TRI, B_COUPLED), forcing_2d()),
+                          ((A_TRI, B_COUPLED), squared_step(2)),
+                          (conjugated_pair(), squared_step(3))]:
+            direct = solve_bounded_depca(DepcaSystem.build(a, b, f), -4, 4, 1e-9)
+            monkeypatch.setattr(depca_engine, "adaptive_gl", counting)
+            red = solve_by_reduction(DepcaSystem.build(a, b, f), None, -4, 4, 1e-9)
+            red.evaluate_grid(ts)
+            monkeypatch.undo()
+            assert calls == []
+            assert_same_solution(red, direct, ts)
 
 
 class TestUndeclaredForcingBound:
     def test_matches_direct_solver(self):
-        # a step forcing without a declared sup reports the largest value
-        # seen so far (0 before any evaluation); the one Green sum sizes its
-        # radius from the h(n) it samples, as the direct solver does
+        # a step forcing without a declared sup reports sup 0; the one Green
+        # sum sizes its radius from the h(n) it samples
         tol = 1e-9
         f = sig.StepOfSequence.from_sequence(
             lambda n: [1e3 * np.cos(n), 1e3 * np.sin(1.3 * n)])
-        system = DepcaSystem.build(A_TRI, np.array([[-0.5, 0.3], [0.0, -0.25]]), f)
+        system = DepcaSystem.build(A_TRI, B_COUPLED, f)
         red = solve_by_reduction(system, None, -4, 4, tol)
         direct = solve_bounded_depca(system, -4, 4, tol)
-        for n in range(-4, 5):
-            np.testing.assert_allclose(red.integer_samples[n],
-                                       direct.integer_samples[n], atol=10 * tol)
-        ts = np.linspace(-3.95, 3.95, 80)
-        np.testing.assert_allclose(red.evaluate_grid(ts),
-                                   direct.evaluate_grid(ts), atol=10 * tol)
+        assert_same_solution(red, direct, np.linspace(-3.95, 3.95, 80))
 
 
 class TestUnitCircleLevel:

@@ -96,12 +96,11 @@ class TestStructure:
         assert dev < 1e-12
 
     def test_rational_grid_matches_pointwise(self):
-        # the table lookup of from_samples, on shifted and mapped signals too
+        # the table lookup of from_samples, on a shifted signal too
         f = sig.RationalPeriodic.from_samples(6, 5, [[1.0, 0.5], [-0.7, 0.2],
                                                      [0.3, -1.0]])
         ts = np.concatenate([np.linspace(-9.3, 9.3, 997), 0.4 * np.arange(-20, 21)])
-        for g in (f, f.shift(7), sig.linear_map([[0.0, 1.0]], f),
-                  sig.linear_map([[1.0, 2.0], [0.0, -1.0], [3.0, 3.0]], f)):
+        for g in (f, f.shift(7)):
             pointwise = np.stack([g.evaluate(float(t)) for t in ts])
             np.testing.assert_allclose(g.evaluate_grid(ts), pointwise,
                                        rtol=0, atol=1e-14)
@@ -132,6 +131,13 @@ class TestStructure:
             f.evaluate(100.0)
             assert f.sup_bound() == 0.0
         assert sig.compose("cos", call).sup_bound() == 1.0
+
+    def test_mis_sized_callable_refused_at_construction(self):
+        # one error, before any solver samples it
+        with pytest.raises(ValueError, match="dimension 2, expected 1"):
+            sig.CallableSignal(lambda t: [1.0, 2.0], 1)
+        with pytest.raises(ValueError, match="dimension 1, expected 3"):
+            sig.CallableSignal(lambda t: [1.0], 3)
 
     def test_step_declared_bound_enforced(self):
         f = sig.StepOfSequence.from_sequence(lambda n: np.array([float(n)]),
@@ -207,20 +213,6 @@ class TestLinearOps:
         h = sig.TrigPolynomial.exponential([1.0], 2 * np.pi)
         np.testing.assert_allclose(h.evaluate_grid(np.arange(0, 3)).ravel(),
                                    [1.0, 1.0, 1.0], atol=1e-12)
-
-    def test_linear_map_exact_for_trig(self):
-        f = sig.TrigPolynomial.cosine([1.0, -2.0], 1.5)
-        m = np.array([[2.0, 1.0]])
-        g = sig.linear_map(m, f)
-        assert g.dimension == 1
-        for t in np.linspace(-2, 2, 21):
-            np.testing.assert_allclose(g.evaluate(t), m @ f.evaluate(t), atol=1e-14)
-
-    def test_component(self):
-        f = sig.TrigPolynomial.cosine([1.0, -2.0], 1.5)
-        c1 = sig.linear_map([[0.0, 1.0]], f)
-        for t in (-0.3, 0.8):
-            np.testing.assert_allclose(c1.evaluate(t), [f.evaluate(t)[1]])
 
     def test_modulate_trig_exact(self):
         f = sig.TrigPolynomial.exponential([1.0], 2.0)

@@ -1,6 +1,9 @@
 """The numeric policy lives in ``tolerances.DEFAULT`` alone: no function or
 method of depca takes a tolerance set, or one of the single-valued grid,
-level and verification options, as a parameter."""
+level and verification options, as a parameter.  Plumbing that serves a
+single caller counts too: no solver takes a change of basis (``transform``)
+or the system it came from (``original``); a solver works on the caller's
+system."""
 
 import dataclasses
 import importlib
@@ -11,7 +14,7 @@ import depca
 from depca.tolerances import Tolerances
 
 KNOBS = {"tols", "grid_points", "verify_residual", "points_per_interval",
-         "max_levels", "grid"}
+         "max_levels", "grid", "transform", "original"}
 
 
 def defined_functions():
