@@ -421,15 +421,12 @@ def _solve_common(config: RunConfig, report: Report, reduce_mode: bool):
     report.set("sup_integer_samples", traj.sup_samples())
     report.set("continuity_max", d.continuity_max)
     report.set("continuity_tol", d.continuity_tol)
-    report.set("recursion_residual", d.recursion_residual)
     report.set("residual_max", d.residual_max)
     report.set("residual_tol", d.residual_tol)
     cert = d.certificate
     report.set("alpha", cert.alpha)
     report.set("K", cert.K)
-    bc = bound_check(
-        np.stack([traj.integer_samples[n] for n in range(traj.n0, traj.n1 + 1)]),
-        cert, d.sup_forcing, slack=3 * config.tol)
+    bc = bound_check(traj.samples, cert, d.sup_forcing, slack=3 * config.tol)
     report.set("bound_certified", bc.certified_bound)
     report.set("bound_holds", bc.passed)
     return system, traj

@@ -9,8 +9,8 @@ with the same propagation formula, never with a time-stepping integrator.
 
 Every quadrature of the forcing is one kernel integral, integral_0^L
 e^{M sigma} g(sigma) d sigma (``kernel_integral``): M = A gives the forcing
-accumulated on [n, n+u], the Schur blocks of a hyperbolic A give the two
-half-lines of Massera's formula.
+accumulated on [n, n+u] for every solve, the rotational one included; the
+Schur blocks of a hyperbolic A give the two half-lines of Massera's formula.
 
 Trajectory construction is two-phase: integer samples first (sequential),
 then segment evaluation, which only reads immutable phase-one data.
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from . import signals as sig
 from .difference_engine import (
@@ -58,10 +59,6 @@ from .matrix_core import (
     sup_norm,
 )
 from .tolerances import DEFAULT
-
-_GL_WEIGHTS = sig.GL_WEIGHTS
-_GL_UNIT = 0.5 * (1.0 + sig.GL_NODES)  # the nodes as fractions of [0, 1]
-
 
 def _u_key(u: float) -> float:
     return round(u, 12)
@@ -137,6 +134,10 @@ def propagator(system: DepcaSystem, t: float, tau: float) -> np.ndarray:
 # every interval, and a periodicity check at step 1e-3 keeps about 2,600.
 _KERNEL_CACHE_SIZE = 4096
 
+# nodes on [-1, 1] and weights of the 10-point Gauss-Legendre panel
+GL_NODES, GL_WEIGHTS = leggauss(10)
+_GL_UNIT = 0.5 * (1.0 + GL_NODES)  # the nodes as fractions of [0, 1]
+
 
 class Kernel:
     """e^{M tau} and the Gauss-Legendre node stacks of one matrix M, in one
@@ -171,7 +172,7 @@ class Kernel:
         fractions u_k of a panel of this width."""
         key = _u_key(width)
         return self._cached(("gl10", key), lambda: np.stack(
-            [w * expm(self.matrix, key * u) for u, w in zip(_GL_UNIT, _GL_WEIGHTS)]))
+            [w * expm(self.matrix, key * u) for u, w in zip(_GL_UNIT, GL_WEIGHTS)]))
 
 
 def adaptive_gl(kernel: Kernel, g: Callable[[float, float], np.ndarray],
@@ -392,9 +393,8 @@ def check_propagator_invertibility(system: DepcaSystem) -> ZInvertibilityReport:
 
 @dataclass
 class TrajectoryDiagnostics:
-    continuity_max: float
+    continuity_max: float           # the recursion residual of the samples
     continuity_tol: float
-    recursion_residual: float
     residual_max: float
     residual_tol: float
     certificate: DichotomyCertificate
@@ -405,20 +405,32 @@ class TrajectoryDiagnostics:
 
 @dataclass
 class HybridTrajectory:
-    """Integer samples plus per-interval continuous segments.
+    """The samples x(n), n = n0..n1, of ``system`` and the segments between
+    them, valid for n0 <= t <= n1.
 
     ``evaluate`` is exact propagation within [n, n+1): the value is
-    Z(t, n) x(n) + H(t), from ``stitch_trajectory`` for both solvers.
-    Valid for n0 <= t <= n1.
+    Z(t, n) x(n) + H(t), with H from ``interval_forcing`` at ``quad_tol``,
+    the same formula for every solver.
     """
 
+    system: DepcaSystem
     n0: int
-    n1: int
-    dimension: int
-    integer_samples: dict[int, np.ndarray]
-    _segment: Callable[[int, float], np.ndarray]
+    samples: np.ndarray             # shape (n1 - n0 + 1, p)
+    quad_tol: float
     diagnostics: TrajectoryDiagnostics | None = None
     cascade: object | None = None
+
+    @property
+    def n1(self) -> int:
+        return self.n0 + len(self.samples) - 1
+
+    @property
+    def dimension(self) -> int:
+        return self.system.dimension
+
+    @functools.cached_property
+    def integer_samples(self) -> dict[int, np.ndarray]:
+        return dict(zip(range(self.n0, self.n1 + 1), self.samples))
 
     def evaluate(self, t: float) -> np.ndarray:
         if t < self.n0 - 1e-9 or t > self.n1 + 1e-9:
@@ -426,14 +438,16 @@ class HybridTrajectory:
         t = min(max(t, float(self.n0)), float(self.n1))
         n = math.floor(t)
         if n >= self.n1:
-            return self.integer_samples[self.n1]
-        return self._segment(n, t)
+            return self.samples[-1]
+        u = t - n
+        return (propagator(self.system, u, 0.0) @ self.samples[n - self.n0]
+                + interval_forcing(self.system, n, u, self.quad_tol))
 
     def evaluate_grid(self, ts) -> np.ndarray:
         return sig.stack_points(self.evaluate, ts, self.dimension)
 
     def sup_samples(self) -> float:
-        return max(sup_norm(v) for v in self.integer_samples.values())
+        return sup_norm(self.samples)
 
     @property
     def window(self) -> tuple[int, int]:
@@ -453,8 +467,7 @@ def ode_residual_check(traj: HybridTrajectory, system: DepcaSystem
     step = DEFAULT.central_diff_step
     worst = 0.0
     sup_x = traj.sup_samples()
-    for n in range(traj.n0, traj.n1):
-        x_n = traj.integer_samples[n]
+    for n, x_n in zip(range(traj.n0, traj.n1), traj.samples):
         for j in range(1, 8):
             t = n + j / 8
             jumps = system.forcing.breakpoints_in(t - step, t + step)
@@ -484,14 +497,12 @@ def certify_companion(c) -> DichotomyCertificate:
 
 
 def stitch_trajectory(system: DepcaSystem, dsys: DifferenceSystem,
-                      xs: np.ndarray, n0: int, n1: int, tol: float,
-                      quad_tol: float, certificate: DichotomyCertificate
-                      ) -> HybridTrajectory:
-    """The trajectory through the samples ``xs`` (n = n0..n1) of the
-    companion system ``dsys`` of ``system``, certified by ``certificate``,
-    with its checks.
+                      xs: np.ndarray, n0: int, tol: float, quad_tol: float,
+                      certificate: DichotomyCertificate) -> HybridTrajectory:
+    """The trajectory through the samples ``xs`` (n = n0, n0 + 1, ...) of
+    the companion system ``dsys`` of ``system``, certified by
+    ``certificate``, with its checks.
 
-    Segments follow the exact propagation formula Z(t, n) x(n) + H(t).
     Continuity at the integers and the interior ODE residual are verified
     before returning.
     """
@@ -504,14 +515,7 @@ def stitch_trajectory(system: DepcaSystem, dsys: DifferenceSystem,
             f"stitching defect {continuity:.3e} exceeds {10 * tol:.3e}"
         )
 
-    samples = {n: xs[i] for i, n in enumerate(range(n0, n1 + 1))}
-
-    def segment(n: int, t: float) -> np.ndarray:
-        u = t - n
-        return (propagator(system, u, 0.0) @ xs[n - n0]
-                + interval_forcing(system, n, u, quad_tol))
-
-    traj = HybridTrajectory(n0, n1, system.dimension, samples, segment)
+    traj = HybridTrajectory(system, n0, xs, quad_tol)
     residual_max, residual_tol = ode_residual_check(traj, system)
     if residual_max > residual_tol:
         raise ResidualCheckError(
@@ -521,12 +525,11 @@ def stitch_trajectory(system: DepcaSystem, dsys: DifferenceSystem,
     traj.diagnostics = TrajectoryDiagnostics(
         continuity_max=continuity,
         continuity_tol=10.0 * tol,
-        recursion_residual=continuity,
         residual_max=residual_max,
         residual_tol=residual_tol,
         certificate=certificate,
         sup_samples=traj.sup_samples(),
-        sup_forcing=max(sup_norm(dsys.h(n)) for n in range(n0 - 1, n1 + 1)),
+        sup_forcing=max(sup_norm(dsys.h(n)) for n in range(n0 - 1, traj.n1 + 1)),
     )
     return traj
 
@@ -537,15 +540,14 @@ def quad_tol_for(tol: float) -> float:
 
 
 def _solve_companion(system: DepcaSystem, n0: int, n1: int, tol: float
-                     ) -> tuple[HybridTrajectory, np.ndarray]:
+                     ) -> HybridTrajectory:
     """Reduce to x(n+1) = C x(n) + h(n), certify the dichotomy of C, sum
-    the Green series once, and stitch; returns the trajectory and the
-    samples x(n), n = n0..n1."""
+    the Green series once for the samples x(n), n = n0..n1, and stitch."""
     quad_tol = quad_tol_for(tol)
     dsys = reduce_to_difference(system, quad_tol)
     cert = certify_companion(dsys.constant_coefficient)
     xs = solve_bounded(dsys, cert, n0, n1, tol)
-    return stitch_trajectory(system, dsys, xs, n0, n1, tol, quad_tol, cert), xs
+    return stitch_trajectory(system, dsys, xs, n0, tol, quad_tol, cert)
 
 
 def solve_bounded_depca(system: DepcaSystem, n0: int, n1: int, tol: float
@@ -563,7 +565,7 @@ def solve_bounded_depca(system: DepcaSystem, n0: int, n1: int, tol: float
     report = check_propagator_invertibility(system)
     if not report.passed:
         raise ZInvertibilityError(report)
-    traj = _solve_companion(system, n0, n1, tol)[0]
+    traj = _solve_companion(system, n0, n1, tol)
     traj.diagnostics.screen = report
     return traj
 
@@ -681,31 +683,49 @@ def massera_solve(a, forcing: sig.Signal, tol: float) -> MasseraSolution:
 # the purely rotational scalar path
 
 
-ROTATION_GRID_STEP = 1e-2  # panel width of the rotation path's primitive table
+ROTATION_QUAD_TOL = 1e-11  # quad_tol of the rotation path's h(n) and segments
+# the screen also reads F at n + ROTATION_PROBE_U: a term e^{i 2 pi k t} of
+# e^{-i theta t} f(t) integrates to 0 over every [0, n], never to n + 1/sqrt(2)
+ROTATION_PROBE_U = 1.0 / math.sqrt(2.0)
 
 
 def imaginary_scalar_solve(theta: float, forcing: sig.Signal, x0: complex,
                            window: float
                            ) -> tuple[Callable[[float], np.ndarray],
                                       sig.PrimitiveBoundednessReport]:
-    """Scalar x' = i theta x + f by the rotation formula.
+    """Scalar x' = i theta x + f with x(0) = x0, on the companion recursion.
 
-    x(t) = e^{i theta t} (x0 + F(t)) with F(t) = integral_0^t e^{-i theta s}
-    f(s) ds, read from one ``signals.PrimitiveTable`` over
-    [-(window + 1), window + 1] with panels of width ``ROTATION_GRID_STEP``;
-    the evaluator raises ValueError outside that span.  Boundedness of the
-    trajectory reduces to boundedness of F, which ``signals.screen_primitive``
-    screens on [-window, window] from the same table.
+    With A = i theta and B = 0 the companion system is
+    x(n+1) = e^{i theta} x(n) + h(n).  |e^{i theta}| = 1 gives no dichotomy,
+    so the samples are the recursion's solution from x(0) = x0,
+    x(n) = e^{i theta n} (x0 + F(n)) with F(n) = integral_0^n e^{-i theta s}
+    f(s) ds summed from its steps F(n+1) - F(n) = e^{-i theta (n+1)} h(n),
+    over the integers covering [-(window + 1), window + 1].  The segments
+    between them are ``HybridTrajectory``'s, whose evaluator raises
+    ValueError outside that span.  The trajectory is bounded when F is:
+    ``signals.integral_primitive_bounded`` screens F on [-window, window]
+    at the integers and at n + ``ROTATION_PROBE_U``.
     """
     if forcing.dimension != 1:
         raise ValueError("the rotational path is scalar (dimension 1)")
-    if window <= 0:
-        raise ValueError("window must be positive")
-    primitive = sig.PrimitiveTable.build(sig.modulate(forcing, -theta),
-                                         window + 1.0, ROTATION_GRID_STEP)
-    report = sig.screen_primitive(primitive, window)
-
-    def evaluate(t: float) -> np.ndarray:
-        return np.exp(1j * theta * t) * (x0 + primitive(t))
-
-    return evaluate, report
+    if not 0.0 < window < math.inf:
+        raise ValueError("window must be positive and finite")
+    x0 = sig._as_coef(x0, 1)
+    system = DepcaSystem.build([[1j * theta]], [[0.0]], forcing)
+    dsys = reduce_to_difference(system, ROTATION_QUAD_TOL)
+    n1 = math.ceil(window + 1.0)
+    ns = np.arange(-n1, n1 + 1)
+    hs = np.array([dsys.h(n) for n in ns[:-1]])
+    steps = np.exp(-1j * theta * ns[1:, None]) * hs  # F(n+1) - F(n)
+    # F accumulates outwards from F(0) = 0
+    prim = np.concatenate([-np.cumsum(steps[:n1][::-1], axis=0)[::-1],
+                           np.zeros((1, 1)), np.cumsum(steps[n1:], axis=0)])
+    # F(n + u) = F(n) + e^{-i theta (n + u)} H_n(u)
+    probes = ns[:-1] + ROTATION_PROBE_U
+    segments = np.array([interval_forcing(system, n, ROTATION_PROBE_U, ROTATION_QUAD_TOL)
+                         for n in ns[:-1]])
+    prim_probes = prim[:-1] + np.exp(-1j * theta * probes[:, None]) * segments
+    report = sig.integral_primitive_bounded(np.concatenate([ns, probes]),
+                                            np.concatenate([prim, prim_probes]), window)
+    xs = np.exp(1j * theta * ns[:, None]) * (x0 + prim)
+    return HybridTrajectory(system, -n1, xs, ROTATION_QUAD_TOL).evaluate, report

@@ -101,13 +101,14 @@ def solve_by_reduction(system: DepcaSystem, user_t=None, n0: int = 0,
     cascade = build_cascade(system, user_t)
     companions = [scalar_companion(*pair) for pair in cascade.diagonal_pairs]
     try:
-        traj, xs = _solve_companion(system, n0, n1, tol)
+        traj = _solve_companion(system, n0, n1, tol)
     except NoDichotomyError as exc:
         # the eigenvalues of C are those of T^-1 C T, its c_ii
         lam = exc.__cause__.eigenvalue
         i = int(np.argmin([abs(c - lam) for c in companions]))
         raise NoDichotomyError(f"cascade level {i}: {exc}") from exc
-    levels = np.linalg.solve(cascade.transform, xs.T)  # row i: y_i(n), n0..n1
+    # row i: y_i(n), n = n0..n1
+    levels = np.linalg.solve(cascade.transform, traj.samples.T)
     traj.cascade = CascadeTrace(cascade.transform, tuple(
         LevelTrace(i, *pair, c, sup_norm(y))
         for i, (pair, c, y) in enumerate(zip(cascade.diagonal_pairs, companions,

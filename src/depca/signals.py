@@ -7,10 +7,9 @@ periodic test family, sums, compositions with a fixed set of continuous
 outer maps, and evaluator-backed signals.
 Signals are immutable; evaluation is pure.
 
-The module also holds the library's one quadrature rule, the 10-point
-Gauss-Legendre panel, and the running primitive F(t) = integral_0^t f
-tabulated with it, which the boundedness screen and the rotational solver
-both read.
+The module also holds the dyadic-ratio screen of whether a primitive
+F(t) = integral_0^t f stays bounded, read from values of F that the
+rotational solver computes.
 """
 
 from __future__ import annotations
@@ -21,14 +20,10 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .tolerances import DEFAULT
 
 _SQRT2 = math.sqrt(2.0)
-
-# nodes on [-1, 1] and weights of the 10-point Gauss-Legendre panel
-GL_NODES, GL_WEIGHTS = leggauss(10)
 
 
 def _as_coef(v, dimension: int | None = None) -> np.ndarray:
@@ -501,101 +496,8 @@ class CallableSignal(Signal):
         return 0.0
 
 
-@dataclass(frozen=True)
-class Modulated(Signal):
-    """gain * e^{i omega t} * f(t); exact integer shifts via phase rotation."""
-
-    base: Signal
-    omega: float
-    gain: complex
-    dimension: int
-
-    def evaluate(self, t: float) -> np.ndarray:
-        return self.gain * np.exp(1j * self.omega * t) * self.base.evaluate(t)
-
-    def evaluate_grid(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        phases = self.gain * np.exp(1j * self.omega * ts)
-        return phases[:, None] * self.base.evaluate_grid(ts)
-
-    def shift(self, s: int) -> "Modulated":
-        return Modulated(self.base.shift(s), self.omega,
-                         self.gain * np.exp(1j * self.omega * s), self.dimension)
-
-    def sup_bound(self) -> float:
-        return abs(self.gain) * self.base.sup_bound()
-
-    def breakpoints_in(self, a: float, b: float) -> list[float]:
-        return self.base.breakpoints_in(a, b)
-
-
-def modulate(f: Signal, omega: float) -> Signal:
-    """e^{i omega t} f(t), exact for trigonometric polynomials."""
-    terms = f.trig_terms()
-    if terms is not None:
-        return TrigPolynomial(tuple((c, w + omega) for c, w in terms), f.dimension)
-    return Modulated(f, float(omega), 1.0 + 0j, f.dimension)
-
-
 # ---------------------------------------------------------------------------
-# the running primitive and its boundedness screen
-
-
-def _gl_panels(f: Signal, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre estimates of integral_lo^hi f for each panel (lo, hi),
-    shape (panels, p), from one ``evaluate_grid`` call."""
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * GL_NODES
-    values = f.evaluate_grid(nodes.ravel()).reshape(len(lo), len(GL_NODES),
-                                                    f.dimension)
-    return half[:, None] * np.einsum("k,nkp->np", GL_WEIGHTS, values)
-
-
-@dataclass(frozen=True)
-class PrimitiveTable:
-    """F(t) = integral_0^t f on [-span, span], tabulated at panel ends.
-
-    The panels are no wider than ``grid_step`` and split at the integers and
-    at the signal's breakpoints, so no node sits on a jump.  Between two
-    table nodes F is completed by one more panel.
-    """
-
-    signal: Signal
-    span: float
-    grid_step: float
-    nodes: np.ndarray            # sorted, containing -span, 0 and span
-    values: np.ndarray           # F at ``nodes``, shape (len(nodes), p)
-
-    @staticmethod
-    def build(f: Signal, span: float, grid_step: float) -> "PrimitiveTable":
-        if span <= 0 or grid_step <= 0:
-            raise ValueError("window and grid_step must be positive")
-        cuts = {-span, 0.0, span}
-        cuts.update(float(n) for n in range(math.ceil(-span), math.floor(span) + 1))
-        cuts.update(f.breakpoints_in(-span, span))
-        base = sorted(cuts)
-        edges = [np.linspace(lo, hi, max(1, math.ceil((hi - lo) / grid_step)) + 1)
-                 for lo, hi in zip(base[:-1], base[1:])]
-        # one evaluate_grid call per cell: a single call over the whole span
-        # makes arrays large enough for BLAS to wake its worker threads, which
-        # then slow the small-matrix work that follows
-        panels = np.concatenate([_gl_panels(f, e[:-1], e[1:]) for e in edges])
-        nodes = np.concatenate([e[:-1] for e in edges] + [[span]])
-        # F accumulates outwards from the node at 0
-        i0 = int(np.searchsorted(nodes, 0.0))
-        values = np.concatenate([
-            -np.cumsum(panels[:i0][::-1], axis=0)[::-1],
-            np.zeros((1, f.dimension), dtype=complex),
-            np.cumsum(panels[i0:], axis=0)])
-        return PrimitiveTable(f, float(span), float(grid_step), nodes, values)
-
-    def __call__(self, t: float) -> np.ndarray:
-        if abs(t) > self.span + 1e-9:
-            raise ValueError(f"t = {t} outside the tabulated span "
-                             f"[{-self.span}, {self.span}]")
-        i = max(int(np.searchsorted(self.nodes, t, side="right")) - 1, 0)
-        lo = self.nodes[i:i + 1]
-        return self.values[i] + _gl_panels(self.signal, lo, np.array([t]))[0]
+# the boundedness screen of a primitive
 
 
 @dataclass(frozen=True)
@@ -603,7 +505,6 @@ class PrimitiveBoundednessReport:
     verdict: str                 # 'bounded-on-window' | 'unbounded-suspected'
     sup_estimate: float
     window: float
-    grid_step: float
     dyadic_maxima: tuple[float, ...]
     ratios: tuple[float, ...]
 
@@ -612,17 +513,19 @@ class PrimitiveBoundednessReport:
         return self.verdict == "bounded-on-window"
 
 
-def screen_primitive(table: PrimitiveTable, window: float
-                     ) -> PrimitiveBoundednessReport:
-    """Screen whether the tabulated F stays bounded on [-window, window].
+def integral_primitive_bounded(ts, values, window: float
+                               ) -> PrimitiveBoundednessReport:
+    """Screen whether F(t) = integral_0^t f stays bounded on [-window, window],
+    from ``values``, F at the times ``ts`` (one row per time).
 
     The verdict compares max |F| over dyadic sub-windows: ratios
     persistently at ``growth_ratio`` or above indicate at least linear
     growth and yield 'unbounded-suspected'.
     """
-    inside = np.abs(table.nodes) <= window + 1e-12
-    ts = table.nodes[inside]
-    mags = np.max(np.abs(table.values[inside]), axis=1)
+    ts = np.asarray(ts, dtype=float)
+    inside = np.abs(ts) <= window + 1e-12
+    ts = ts[inside]
+    mags = np.max(np.abs(np.asarray(values)[inside]), axis=1)
 
     levels = 4 if window >= 8 else max(2, int(math.log2(max(window, 2.0))))
     maxima = []
@@ -639,14 +542,6 @@ def screen_primitive(table: PrimitiveTable, window: float
         verdict="unbounded-suspected" if suspect else "bounded-on-window",
         sup_estimate=float(np.max(mags)),
         window=float(window),
-        grid_step=table.grid_step,
         dyadic_maxima=tuple(maxima),
         ratios=tuple(ratios),
     )
-
-
-def integral_primitive_bounded(f: Signal, window: float, grid_step: float
-                               ) -> PrimitiveBoundednessReport:
-    """Screen whether F(t) = integral_0^t f stays bounded on [-window, window],
-    from the ``PrimitiveTable`` of f over that window."""
-    return screen_primitive(PrimitiveTable.build(f, window, grid_step), window)

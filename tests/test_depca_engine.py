@@ -1,6 +1,7 @@
 """Tests for the hybrid solver: propagation, forcing integrals, reduction,
 bounded trajectories, the hyperbolic B = 0 path and the rotational path."""
 
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -338,7 +339,7 @@ class TestSolveBoundedDepca:
         d = traj.diagnostics
         assert d.continuity_max <= d.continuity_tol
         assert d.residual_max <= d.residual_tol
-        assert d.recursion_residual <= 3e-9
+        assert d.continuity_max <= 3e-9
 
     def test_no_dichotomy_on_unit_circle(self):
         system = scalar_system(0.0, 0.0, CONST_1)  # companion C = 1
@@ -617,10 +618,37 @@ class TestImaginaryScalar:
         _, report = imaginary_scalar_solve(1.0, f, 0.0, 25.0)
         assert report.verdict == "unbounded-suspected"
 
+    @pytest.mark.parametrize("theta,f", [
+        (0.0, sig.TrigPolynomial.cosine([1.0], 2 * np.pi)),
+        (0.5, sig.TrigPolynomial.exponential([1.0], 0.5 + 2 * np.pi)),
+    ], ids=["cos-2pi", "shifted-exponential"])
+    def test_one_periodic_primitive_screened_bounded(self, theta, f):
+        # F(t) = (e^{2 pi i t} - 1) / (2 pi i) vanishes at every integer, so the
+        # screen must read it between the integers, not round-off at them
+        _, report = imaginary_scalar_solve(theta, f, 0.0, 50.0)
+        assert report.is_bounded
+        assert 0.1 <= report.sup_estimate <= 1.0 / np.pi + 1e-12
+
     def test_vector_forcing_rejected(self):
         f = sig.TrigPolynomial.constant([1.0, 1.0])
         with pytest.raises(ValueError):
             imaginary_scalar_solve(1.0, f, 0.0, 5.0)
+
+    @pytest.mark.parametrize("theta,x0", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan)],
+                             ids=["theta-nan", "theta-inf", "x0-nan"])
+    def test_non_finite_input_rejected(self, theta, x0):
+        with pytest.raises(ValueError, match="non-finite"):
+            imaginary_scalar_solve(theta, sig.TrigPolynomial.cosine([1.0], 2.0), x0, 5.0)
+
+    def test_aa_forcing_fails_typed(self):
+        # the AATest spike near s = +-91 defeats the quadrature of h(n): the
+        # error names the unit interval, and no value is returned
+        with pytest.raises(QuadratureError) as info:
+            imaginary_scalar_solve(1.0, sig.AATest.from_amplitude([1.0]), 0.0, 100.0)
+        found = re.match(r"forcing on \[(-?\d+), (-?\d+)\], ", str(info.value))
+        assert found is not None
+        lo, hi = map(int, found.groups())
+        assert hi == lo + 1 and 90 <= abs(lo + 0.5) <= 101
 
 
 class TestStiffHyperbolicA:
@@ -643,7 +671,8 @@ class TestStiffHyperbolicA:
 
 
 class TestRotationSpan:
-    """x' = i x + e^{2it} with x(0) = x0 is e^{it} (x0 + (e^{it} - 1)/i); the
+    """x' = i x + e^{2it} with x(0) = x0 is e^{it} (x0 + (e^{it} - 1)/i);
+    piecewise-constant forcing is checked against 30-digit mpmath.  The
     evaluator covers [-(window + 1), window + 1] and refuses beyond it."""
 
     @staticmethod
@@ -656,9 +685,42 @@ class TestRotationSpan:
         for t in (-11.0, -10.37, 10.999, 11.0):
             assert abs(ev(t)[0] - self.exact(t, 0.5)) <= 1e-12
 
+    @staticmethod
+    def piecewise_reference(theta, width, value, x0, t):
+        """e^{i theta t} (x0 + integral_0^t e^{-i theta s} f(s) ds) to 30
+        digits for f = value(k) on [k width, (k+1) width)."""
+        with mp.workdps(30):
+            th, w = mp.mpf(theta), mp.mpf(width)
+            lo, hi = sorted((mp.mpf(0), mp.mpf(t)))
+            cuts = [lo, *(k * w for k in range(int(mp.floor(lo / w)) + 1,
+                                              int(mp.ceil(hi / w)))), hi]
+            total = mp.mpc(0)
+            for a, b in zip(cuts, cuts[1:]):
+                c = mp.mpc(complex(value(int(mp.floor((a + b) / (2 * w))))))
+                total += c * (mp.expj(-th * a) - mp.expj(-th * b)) / (1j * th)
+            if t < 0:
+                total = -total
+            return complex(mp.expj(th * mp.mpf(t)) * (mp.mpc(x0) + total))
+
+    @pytest.mark.parametrize("forcing,width,values", [
+        (sig.StepOfSequence.from_periodic_values([[0.7], [-1.2], [0.4 + 0.5j]]), 1.0,
+         [0.7, -1.2, 0.4 + 0.5j]),
+        # period 3/2 in 3 pieces: a jump at every n + 1/2
+        (sig.RationalPeriodic.from_samples(3, 2, [[1.0], [-0.5], [0.25j]]), 0.5,
+         [1.0, -0.5, 0.25j]),
+    ], ids=["step", "rational"])
+    def test_piecewise_constant_forcing(self, forcing, width, values):
+        theta, x0 = 0.8, 0.3 - 0.2j
+        ev, report = imaginary_scalar_solve(theta, forcing, x0, 10.0)
+        for t in (-11.0, -10.25, -3.7, 0.0, 2.5, 7.3, 10.999, 11.0):
+            exact = self.piecewise_reference(theta, width,
+                                             lambda k: values[k % len(values)], x0, t)
+            assert abs(ev(t)[0] - exact) <= 1e-12
+        assert report.is_bounded
+
     @pytest.mark.parametrize("t", [11.01, -30.0, 60.0])
     def test_beyond_the_edge_raises(self, t):
         ev, _ = imaginary_scalar_solve(1.0, sig.TrigPolynomial.exponential([1.0], 2.0),
                                        0.5, 10.0)
-        with pytest.raises(ValueError, match=rf"t = {t}.*\[-11\.0, 11\.0\]"):
+        with pytest.raises(ValueError, match=rf"t = {t}.*\[-11, 11\]"):
             ev(t)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depca import signals as sig
+from depca.depca_engine import imaginary_scalar_solve
 from depca.tolerances import Tolerances
 
 
@@ -214,85 +215,44 @@ class TestLinearOps:
         np.testing.assert_allclose(h.evaluate_grid(np.arange(0, 3)).ravel(),
                                    [1.0, 1.0, 1.0], atol=1e-12)
 
-    def test_modulate_trig_exact(self):
-        f = sig.TrigPolynomial.exponential([1.0], 2.0)
-        g = sig.modulate(f, -1.0)
-        assert isinstance(g, sig.TrigPolynomial)
-        for t in np.linspace(-3, 3, 31):
-            np.testing.assert_allclose(g.evaluate(t),
-                                       np.exp(-1j * t) * f.evaluate(t), atol=1e-13)
-
-    def test_modulate_step_wrapped(self):
-        f = sig.StepOfSequence.from_periodic_values([[1.0], [2.0]])
-        g = sig.modulate(f, 0.7)
-        for t in (-1.2, 0.4, 2.6):
-            np.testing.assert_allclose(g.evaluate(t),
-                                       np.exp(0.7j * t) * f.evaluate(t), atol=1e-14)
-        # shifting a modulated signal stays exact
-        h = g.shift(2)
-        for t in (-0.5, 0.25):
-            np.testing.assert_allclose(h.evaluate(t), g.evaluate(t + 2), atol=1e-13)
-
 
 class TestIntegralPrimitive:
+    """The screen of F(n) = integral_0^n f at the integers, read from the
+    rotational solver at theta = 0, where x(n) - x(0) = F(n)."""
+
+    @staticmethod
+    def screen(f, window):
+        return imaginary_scalar_solve(0.0, f, 0.0, window)[1]
+
     def test_zero_signal(self):
-        rep = sig.integral_primitive_bounded(sig.TrigPolynomial.constant([0.0]),
-                                             50.0, 0.01)
+        rep = self.screen(sig.TrigPolynomial.constant([0.0]), 50.0)
         assert rep.is_bounded
         assert rep.sup_estimate == pytest.approx(0.0, abs=1e-14)
 
     def test_cosine_primitive_is_sine(self):
-        rep = sig.integral_primitive_bounded(sig.TrigPolynomial.cosine([1.0], 1.0),
-                                             100.0, 0.01)
+        rep = self.screen(sig.TrigPolynomial.cosine([1.0], 1.0), 100.0)
         assert rep.is_bounded
         assert rep.sup_estimate == pytest.approx(1.0, abs=0.01)
 
     def test_constant_one_linear_growth(self):
-        rep = sig.integral_primitive_bounded(sig.TrigPolynomial.constant([1.0]),
-                                             50.0, 0.01)
+        rep = self.screen(sig.TrigPolynomial.constant([1.0]), 50.0)
         assert rep.verdict == "unbounded-suspected"
         assert min(rep.ratios) >= 1.8
 
     def test_step_signal_split_at_integers(self):
         # alternating step: F oscillates in [0, 1] and stays bounded
         f = sig.StepOfSequence.from_periodic_values([[1.0], [-1.0]])
-        rep = sig.integral_primitive_bounded(f, 32.0, 0.01)
+        rep = self.screen(f, 32.0)
         assert rep.is_bounded
         assert rep.sup_estimate == pytest.approx(1.0, abs=0.02)
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
-            sig.integral_primitive_bounded(sig.TrigPolynomial.constant([1.0]),
-                                           -1.0, 0.01)
-
-
-class TestPrimitiveTable:
-    """One table of 10-point panels serves the screen and the rotational
-    solver: F(t) = integral_0^t cos(1.3 s) ds = sin(1.3 t) / 1.3."""
-
-    F = sig.TrigPolynomial.cosine([1.0], 1.3)
-
-    def test_nodes_match_closed_form(self):
-        table = sig.PrimitiveTable.build(self.F, 20.0, 0.01)
-        assert np.max(np.diff(table.nodes)) <= 0.01 + 1e-12
-        assert {-20.0, 0.0, 20.0} <= set(table.nodes)
-        np.testing.assert_allclose(table.values[:, 0], np.sin(1.3 * table.nodes) / 1.3,
-                                   rtol=0, atol=1e-13)
-
-    def test_between_nodes_matches_closed_form(self):
-        table = sig.PrimitiveTable.build(self.F, 20.0, 0.01)
-        for t in (-19.99713, -0.004, 3.14159, 20.0):
-            assert abs(table(t)[0] - np.sin(1.3 * t) / 1.3) <= 1e-13
-
-    def test_screen_reads_the_table(self):
-        table = sig.PrimitiveTable.build(self.F, 20.0, 0.01)
-        rep = sig.integral_primitive_bounded(self.F, 20.0, 0.01)
-        assert rep.is_bounded
-        assert rep.sup_estimate == float(np.max(np.abs(table.values)))
+            self.screen(sig.TrigPolynomial.constant([1.0]), -1.0)
 
     def test_growth_ratio_comes_from_the_tolerances(self, monkeypatch):
-        # F(t) = t doubles over each dyadic window: flagged at 1.8, not at 2.5
+        # F(n) = n doubles over each dyadic window: flagged at 1.8, not at 2.5
         f = sig.TrigPolynomial.constant([1.0])
-        assert not sig.integral_primitive_bounded(f, 50.0, 0.01).is_bounded
+        assert not self.screen(f, 50.0).is_bounded
         monkeypatch.setattr(sig, "DEFAULT", Tolerances(growth_ratio=2.5))
-        assert sig.integral_primitive_bounded(f, 50.0, 0.01).is_bounded
+        assert self.screen(f, 50.0).is_bounded
