@@ -12,8 +12,8 @@ e^{M sigma} g(sigma) d sigma (``kernel_integral``): M = A gives the forcing
 accumulated on [n, n+u] for every solve, the rotational one included; the
 Schur blocks of a hyperbolic A give the two half-lines of Massera's formula.
 
-Trajectory construction is two-phase: integer samples first (sequential),
-then segment evaluation, which only reads immutable phase-one data.
+A trajectory is data (system, samples, quadrature tolerance); its one
+evaluator takes each group of points t = n + u with one u in one array step.
 """
 
 from __future__ import annotations
@@ -101,9 +101,6 @@ class DepcaSystem:
         """The kernel of A; it reads the e^{Au} that ``integral_block`` forms."""
         return Kernel(self.a, self._exp_cache)
 
-    def exp_a(self, u: float) -> np.ndarray:
-        return self.kernel.exp(u)
-
     def integral_block(self, u: float) -> np.ndarray:
         """integral_0^u e^{As} ds, cached by u."""
         key = _u_key(u)
@@ -121,9 +118,9 @@ def propagator(system: DepcaSystem, t: float, tau: float) -> np.ndarray:
     u = max(u, 0.0)
     key = _u_key(u)
     if key not in system._prop_cache:
-        # integral_block stores e^{Au} too, so exp_a is then a cache hit
+        # integral_block stores e^{Au} too, so the kernel then has it
         integral = system.integral_block(u)
-        system._prop_cache[key] = system.exp_a(u) + integral @ system.b
+        system._prop_cache[key] = system.kernel.exp(u) + integral @ system.b
     return system._prop_cache[key]
 
 
@@ -268,40 +265,41 @@ def _trig_kernel(system: DepcaSystem, u: float, omega: float) -> np.ndarray | No
         cache[key] = None
         return None
     p = system.dimension
-    kernel = resolvent @ (np.exp(1j * omega * u) * np.eye(p) - system.exp_a(u))
+    kernel = resolvent @ (np.exp(1j * omega * u) * np.eye(p) - system.kernel.exp(u))
     cache[key] = kernel
     return kernel
 
 
-def interval_forcing(system: DepcaSystem, n: int, u: float, quad_tol: float
+def interval_forcing(system: DepcaSystem, n, u: float, quad_tol: float
                      ) -> np.ndarray:
-    """integral_n^{n+u} e^{A(n+u-s)} f(s) ds for 0 <= u <= 1.
+    """integral_n^{n+u} e^{A(n+u-s)} f(s) ds for 0 <= u <= 1; one row per n
+    for an integer array n.
 
-    Signals constant on [n, n+1) integrate through the exponential-integral
-    block; trigonometric terms use the resolvent closed form away from
-    resonance; everything else (and near-resonant terms) is the kernel
-    integral of e^{A sigma} f(n + u - sigma) over [0, u].
+    Trigonometric terms use the resolvent closed form e^{i w n} K_w(u) c
+    away from resonance, for all n at once; per n, signals constant on
+    [n, n+1) integrate through the exponential-integral block, and
+    everything else (and near-resonant terms) is the kernel integral of
+    e^{A sigma} f(n + u - sigma) over [0, u].
     """
-    if u <= 0.0:
-        return np.zeros(system.dimension, dtype=complex)
+    ns = np.atleast_1d(n)
+    out = np.zeros((ns.size, system.dimension), dtype=complex)
     f = system.forcing
-
-    const = f.constant_on_unit_interval(n)
-    if const is not None:
-        return system.integral_block(u) @ const
-
     terms = f.trig_terms()
-    if terms is None:
-        return kernel_integral(system.kernel, f, n + u, u, quad_tol)
-    out = np.zeros(system.dimension, dtype=complex)
-    for coef, omega in terms:
-        kernel = _trig_kernel(system, u, omega)
-        if kernel is None:
+    if u > 0.0 and terms is not None and any(omega != 0.0 for _, omega in terms):
+        for coef, omega in terms:
+            kernel = _trig_kernel(system, u, omega)
+            if kernel is not None:
+                out += np.exp(1j * omega * ns)[:, None] * (kernel @ coef)
+                continue
             term = sig.TrigPolynomial(((coef, omega),), system.dimension)
-            out = out + kernel_integral(system.kernel, term, n + u, u, quad_tol)
-        else:
-            out = out + np.exp(1j * omega * n) * (kernel @ coef)
-    return out
+            for i, k in enumerate(ns.tolist()):
+                out[i] += kernel_integral(system.kernel, term, k + u, u, quad_tol)
+    elif u > 0.0:
+        for i, k in enumerate(ns.tolist()):
+            const = f.constant_on_unit_interval(k)
+            out[i] = (system.integral_block(u) @ const if const is not None
+                      else kernel_integral(system.kernel, f, k + u, u, quad_tol))
+    return out if np.ndim(n) else out[0]
 
 
 def forcing_integral(system: DepcaSystem, t: float, quad_tol: float) -> np.ndarray:
@@ -327,11 +325,7 @@ def reduce_to_difference(system: DepcaSystem, quad_tol: float) -> DifferenceSyst
     det = complex(np.linalg.det(c))
     if abs(det) < DEFAULT.det_threshold:
         raise SingularCError(det)
-
-    def h(n: int) -> np.ndarray:
-        return interval_forcing(system, n, 1.0, quad_tol)
-
-    return DifferenceSystem((c,), h)
+    return DifferenceSystem((c,), lambda n: interval_forcing(system, n, 1.0, quad_tol))
 
 
 @dataclass(frozen=True)
@@ -408,9 +402,9 @@ class HybridTrajectory:
     """The samples x(n), n = n0..n1, of ``system`` and the segments between
     them, valid for n0 <= t <= n1.
 
-    ``evaluate`` is exact propagation within [n, n+1): the value is
-    Z(t, n) x(n) + H(t), with H from ``interval_forcing`` at ``quad_tol``,
-    the same formula for every solver.
+    ``evaluate_grid`` is exact propagation within [n, n+1): Z(u) x(n) +
+    H_n(u), u = t - n, with H_n from ``interval_forcing`` at ``quad_tol``,
+    for every solver; ``evaluate`` is that path on one point.
     """
 
     system: DepcaSystem
@@ -433,56 +427,72 @@ class HybridTrajectory:
         return dict(zip(range(self.n0, self.n1 + 1), self.samples))
 
     def evaluate(self, t: float) -> np.ndarray:
-        if t < self.n0 - 1e-9 or t > self.n1 + 1e-9:
-            raise ValueError(f"t = {t} outside the solved window [{self.n0}, {self.n1}]")
-        t = min(max(t, float(self.n0)), float(self.n1))
-        n = math.floor(t)
-        if n >= self.n1:
-            return self.samples[-1]
-        u = t - n
-        return (propagator(self.system, u, 0.0) @ self.samples[n - self.n0]
-                + interval_forcing(self.system, n, u, self.quad_tol))
+        return self.evaluate_grid([t])[0]
 
     def evaluate_grid(self, ts) -> np.ndarray:
-        return sig.stack_points(self.evaluate, ts, self.dimension)
+        """x(t) for t in ``ts``: the rows whose u share a cache key take one
+        Z(u) and one ``interval_forcing`` call, at the u of the first row."""
+        ts = np.asarray(ts, dtype=float)
+        outside = ~((ts >= self.n0 - 1e-9) & (ts <= self.n1 + 1e-9))
+        if outside.any():
+            raise ValueError(f"t = {ts[outside][0]} outside the solved window "
+                             f"[{self.n0}, {self.n1}]")
+        ts = np.minimum(np.maximum(ts, self.n0), self.n1)
+        ns = np.floor(ts).astype(int)
+        us = ts - ns
+        # number the keys of the distinct u, then list each key's rows in grid order
+        distinct = np.unique(us)
+        ids: dict[float, int] = {}
+        group = np.array([ids.setdefault(_u_key(u), len(ids)) for u in distinct.tolist()],
+                         dtype=int)[np.searchsorted(distinct, us)]
+        order = np.argsort(group, kind="stable")
+        bounds = np.cumsum([0, *np.bincount(group)])
+        out = np.empty((ts.size, self.dimension), dtype=complex)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            rows = order[lo:hi]
+            u, n = float(us[rows[0]]), ns[rows]
+            # einsum, not @: a long stack through @ wakes threaded BLAS
+            out[rows] = (np.einsum("ij,kj->ki", propagator(self.system, u, 0.0),
+                                   self.samples[n - self.n0])
+                         + interval_forcing(self.system, n, u, self.quad_tol))
+        return out
 
     def sup_samples(self) -> float:
         return sup_norm(self.samples)
 
-    @property
-    def window(self) -> tuple[int, int]:
-        return (self.n0, self.n1)
 
-
-def ode_residual_check(traj: HybridTrajectory, system: DepcaSystem
-                       ) -> tuple[float, float]:
+def ode_residual_check(traj: HybridTrajectory) -> tuple[float, float]:
     """Central-difference check of x' - A x - B x([t]) - f at the 7 points
-    n + j/8 inside each interval.
+    n + j/8 inside each interval, from one ``evaluate_grid`` call.
 
     Returns (max residual, allowed tolerance); the tolerance is
-    ``DEFAULT.residual_scale`` times (1 + ||A|| + ||B||) times sup |x|.
+    ``DEFAULT.residual_scale`` times (1 + ||A|| + ||B||) times sup |x|, and
+    a larger residual raises ResidualCheckError naming the worst probe.
     Derivatives are only probed where the equation holds classically: at
     interior points, moved just past any forcing jump inside the stencil.
     """
-    step = DEFAULT.central_diff_step
-    worst = 0.0
-    sup_x = traj.sup_samples()
-    for n, x_n in zip(range(traj.n0, traj.n1), traj.samples):
-        for j in range(1, 8):
-            t = n + j / 8
-            jumps = system.forcing.breakpoints_in(t - step, t + step)
-            if jumps:
-                t = max(jumps) + 2.0 * step
-            x_plus = traj.evaluate(t + step)
-            x_minus = traj.evaluate(t - step)
-            x_t = traj.evaluate(t)
-            sup_x = max(sup_x, sup_norm(x_t))
-            deriv = (x_plus - x_minus) / (2.0 * step)
-            rhs = system.a @ x_t + system.b @ x_n + system.forcing.evaluate(t)
-            worst = max(worst, sup_norm(deriv - rhs))
+    system, step = traj.system, DEFAULT.central_diff_step
+    ns = np.repeat(np.arange(traj.n0, traj.n1), 7)
+    ts = ns + np.tile(np.arange(1, 8) / 8, traj.n1 - traj.n0)
+    # the last forcing jump below t + step (-inf if none) moves t past it
+    jumps = np.sort([-np.inf, *system.forcing.breakpoints_in(traj.n0, traj.n1)])
+    last = jumps[np.searchsorted(jumps, ts + step) - 1]
+    ts = np.where(ts - step < last, last + 2.0 * step, ts)
+    x = traj.evaluate_grid(np.stack([ts + step, ts - step, ts], axis=1).ravel())
+    x_plus, x_minus, x_t = x.reshape(len(ts), 3, -1).transpose(1, 0, 2)
+    rhs = (np.einsum("ij,kj->ki", system.a, x_t)
+           + np.einsum("ij,kj->ki", system.b, traj.samples[ns - traj.n0])
+           + system.forcing.evaluate_grid(ts))
+    residuals = np.max(np.abs((x_plus - x_minus) / (2.0 * step) - rhs), axis=1)
+    i = int(np.argmax(residuals))
+    sup_x = max(traj.sup_samples(), sup_norm(x_t))
     allowed = DEFAULT.residual_scale * (1.0 + mat_norm(system.a)
                                         + mat_norm(system.b)) * max(sup_x, 1e-30)
-    return worst, allowed
+    if residuals[i] > allowed:
+        raise ResidualCheckError(
+            f"interior ODE residual {residuals[i]:.3e} at t = {ts[i]:.12g} "
+            f"(n = {ns[i]}, u = {ts[i] - ns[i]:.12g}) exceeds {allowed:.3e}")
+    return float(residuals[i]), allowed
 
 
 def certify_companion(c) -> DichotomyCertificate:
@@ -511,17 +521,13 @@ def stitch_trajectory(system: DepcaSystem, dsys: DifferenceSystem,
     # integers is the recursion residual
     continuity = recursion_residual(dsys, xs, n0)
     if continuity > 10.0 * tol:
+        worst = max(range(n0, n0 + len(xs) - 1),
+                    key=lambda n: recursion_residual(dsys, xs[n - n0:n - n0 + 2], n))
         raise ContinuityBreachError(
-            f"stitching defect {continuity:.3e} exceeds {10 * tol:.3e}"
-        )
+            f"stitching defect {continuity:.3e} at n = {worst} exceeds {10 * tol:.3e}")
 
     traj = HybridTrajectory(system, n0, xs, quad_tol)
-    residual_max, residual_tol = ode_residual_check(traj, system)
-    if residual_max > residual_tol:
-        raise ResidualCheckError(
-            f"interior ODE residual {residual_max:.3e} exceeds "
-            f"{residual_tol:.3e}"
-        )
+    residual_max, residual_tol = ode_residual_check(traj)
     traj.diagnostics = TrajectoryDiagnostics(
         continuity_max=continuity,
         continuity_tol=10.0 * tol,
@@ -529,7 +535,7 @@ def stitch_trajectory(system: DepcaSystem, dsys: DifferenceSystem,
         residual_tol=residual_tol,
         certificate=certificate,
         sup_samples=traj.sup_samples(),
-        sup_forcing=max(sup_norm(dsys.h(n)) for n in range(n0 - 1, traj.n1 + 1)),
+        sup_forcing=dsys.sup_h(n0 - 1, traj.n1 + 1),
     )
     return traj
 
@@ -712,18 +718,16 @@ def imaginary_scalar_solve(theta: float, forcing: sig.Signal, x0: complex,
         raise ValueError("window must be positive and finite")
     x0 = sig._as_coef(x0, 1)
     system = DepcaSystem.build([[1j * theta]], [[0.0]], forcing)
-    dsys = reduce_to_difference(system, ROTATION_QUAD_TOL)
     n1 = math.ceil(window + 1.0)
     ns = np.arange(-n1, n1 + 1)
-    hs = np.array([dsys.h(n) for n in ns[:-1]])
+    hs = interval_forcing(system, ns[:-1], 1.0, ROTATION_QUAD_TOL)
     steps = np.exp(-1j * theta * ns[1:, None]) * hs  # F(n+1) - F(n)
     # F accumulates outwards from F(0) = 0
     prim = np.concatenate([-np.cumsum(steps[:n1][::-1], axis=0)[::-1],
                            np.zeros((1, 1)), np.cumsum(steps[n1:], axis=0)])
     # F(n + u) = F(n) + e^{-i theta (n + u)} H_n(u)
     probes = ns[:-1] + ROTATION_PROBE_U
-    segments = np.array([interval_forcing(system, n, ROTATION_PROBE_U, ROTATION_QUAD_TOL)
-                         for n in ns[:-1]])
+    segments = interval_forcing(system, ns[:-1], ROTATION_PROBE_U, ROTATION_QUAD_TOL)
     prim_probes = prim[:-1] + np.exp(-1j * theta * probes[:, None]) * segments
     report = sig.integral_primitive_bounded(np.concatenate([ns, probes]),
                                             np.concatenate([prim, prim_probes]), window)

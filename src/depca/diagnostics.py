@@ -26,14 +26,14 @@ def _window_of(target, window) -> tuple[float, float]:
     raise ValueError("a (a, b) window is required for signal targets")
 
 
+def _straddles(points: np.ndarray, a: float, b: float) -> np.ndarray:
+    ts = np.concatenate([points - _STRADDLE, points + _STRADDLE])
+    return ts[(a <= ts) & (ts <= b)]
+
+
 def _grid_with_straddles(a: float, b: float, step: float) -> np.ndarray:
-    ts = list(np.arange(a, b, step))
-    ts.append(b)
-    for n in range(math.ceil(a), math.floor(b) + 1):
-        for t in (n - _STRADDLE, n + _STRADDLE):
-            if a <= t <= b:
-                ts.append(t)
-    return np.unique(np.asarray(ts, dtype=float))
+    ints = np.arange(math.ceil(a), math.floor(b) + 1)
+    return np.unique(np.concatenate([np.arange(a, b, step), [b], _straddles(ints, a, b)]))
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,10 @@ def periodicity_check(target, period: tuple[int, int], tol: float,
             f"window [{a}, {b}] does not cover two periods of {omega:.6g}"
         )
 
-    ts = list(_grid_with_straddles(a, b - omega, grid_step))
-    # straddles of t + period back-shifted onto the base grid
-    for n in range(math.ceil(a + omega), math.floor(b) + 1):
-        for t in (n - omega - _STRADDLE, n - omega + _STRADDLE):
-            if a <= t <= b - omega:
-                ts.append(t)
-    grid = np.unique(np.asarray(ts))
+    # with the straddles of t + period back-shifted onto the base grid
+    back = np.arange(math.ceil(a + omega), math.floor(b) + 1) - omega
+    grid = np.unique(np.concatenate([_grid_with_straddles(a, b - omega, grid_step),
+                                     _straddles(back, a, b - omega)]))
 
     base = target.evaluate_grid(grid)
     shifted = target.evaluate_grid(grid + omega)

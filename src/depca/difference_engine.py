@@ -70,6 +70,10 @@ class DifferenceSystem:
             self._h_cache[n] = v
         return self._h_cache[n]
 
+    def sup_h(self, lo: int, hi: int) -> float:
+        """max |h(k)| over lo <= k < hi, 0 for an empty range."""
+        return sup_norm(np.array([self.h(k) for k in range(lo, hi)]))
+
 
 @dataclass
 class DichotomyCertificate:
@@ -287,18 +291,16 @@ def solve_bounded(sys: DifferenceSystem, cert: DichotomyCertificate,
         raise InvalidCertificateError("solve_bounded needs a constant C certificate")
     green = cert.green_function()
 
-    sup_h = max((sup_norm(sys.h(k)) for k in range(n0 - 1, n1 + 1)), default=0.0)
+    sup_h = sys.sup_h(n0 - 1, n1 + 1)
     if sup_h == 0.0:
         radius_probe = truncation_radius(cert.alpha, cert.K, 1.0, tol)
-        sup_h = max((sup_norm(sys.h(k))
-                     for k in range(n0 - 1 - radius_probe, n1 + radius_probe)),
-                    default=0.0)
+        sup_h = sys.sup_h(n0 - 1 - radius_probe, n1 + radius_probe)
         if sup_h == 0.0:
             return np.zeros((n1 - n0 + 1, sys.dimension), dtype=complex)
 
     radius = widen_radius(
         lambda sup: truncation_radius(cert.alpha, cert.K, sup, tol),
-        lambda r: max(sup_norm(sys.h(k)) for k in range(n0 - 1 - r, n1 + r)), sup_h)
+        lambda r: sys.sup_h(n0 - 1 - r, n1 + r), sup_h)
 
     out = np.zeros((n1 - n0 + 1, sys.dimension), dtype=complex)
     s = u = np.zeros(sys.dimension, dtype=complex)
@@ -315,11 +317,8 @@ def solve_bounded(sys: DifferenceSystem, cert: DichotomyCertificate,
 
 def recursion_residual(sys: DifferenceSystem, x: np.ndarray, n0: int) -> float:
     """max_n ||x(n+1) - C(n) x(n) - h(n)|| over the sampled window."""
-    worst = 0.0
-    for i in range(x.shape[0] - 1):
-        n = n0 + i
-        worst = max(worst, sup_norm(x[i + 1] - sys.c(n) @ x[i] - sys.h(n)))
-    return worst
+    return max((sup_norm(x[i + 1] - sys.c(n0 + i) @ x[i] - sys.h(n0 + i))
+                for i in range(x.shape[0] - 1)), default=0.0)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Tests for the hybrid solver: propagation, forcing integrals, reduction,
 bounded trajectories, the hyperbolic B = 0 path and the rotational path."""
 
+import dataclasses
+import math
 import re
 from fractions import Fraction
 
@@ -23,13 +25,17 @@ from depca.depca_engine import (
     reduce_to_difference,
     solve_bounded_depca,
 )
+from depca.difference_engine import solve_bounded
 from depca.errors import (
     BoundaryEigenvalueError,
+    ContinuityBreachError,
     NoDichotomyError,
     QuadratureError,
+    ResidualCheckError,
     SingularCError,
     WindowTooSmallError,
 )
+from depca.tolerances import DEFAULT
 
 
 def scalar_system(a, b, forcing):
@@ -417,6 +423,122 @@ class TestForcingJumpOnResidualProbe:
                           for r in range(3)) / (1 - c ** 3)
                 np.testing.assert_allclose(traj.integer_samples[n],
                                            [float(ref)], rtol=0, atol=1e-9)
+
+
+def trig_p3_system():
+    """Upper-triangular A, diagonal B and cos + sin forcing."""
+    a = np.array([[-1.0, 0.4, 0.1], [0.0, -0.6, 0.3], [0.0, 0.0, 0.7]])
+    f = sig.Sum.of(sig.TrigPolynomial.cosine([1.0, 0.5, -0.3], 1.3),
+                   sig.TrigPolynomial.sine([0.2, -0.4, 0.6], np.sqrt(2.0)))
+    return DepcaSystem.build(a, np.diag([0.3, -0.2, 0.25]), f)
+
+
+class TestOneEvaluationPath:
+    """``evaluate_grid`` groups points by their fractional part u; the
+    segment value is Z(u) x(n) + H_n(u) whatever the grouping."""
+
+    @staticmethod
+    def per_point(traj, t):
+        t = min(max(t, traj.n0), traj.n1)
+        n = math.floor(t)
+        u = t - n
+        return (propagator(traj.system, u, 0.0) @ traj.integer_samples[n]
+                + interval_forcing(traj.system, n, u, traj.quad_tol))
+
+    def test_evaluate_is_the_grid_on_one_point(self):
+        traj = solve_bounded_depca(trig_p3_system(), -3, 3, 1e-9)
+        for t in (-3.0, -2.999999999, -1.25, 0.0, 0.3, 2.75, 3.0):
+            assert np.array_equal(traj.evaluate(t), traj.evaluate_grid([t])[0])
+
+    @pytest.mark.parametrize("forcing", [
+        sig.TrigPolynomial.cosine([1.0, 0.5], 1.3),
+        sig.StepOfSequence.from_periodic_values([[1.0, 0.5], [-0.7, 0.2]]),
+        sig.compose("sin", sig.TrigPolynomial.cosine([1.0, -0.5], 0.9)),
+    ], ids=["trig", "step", "quadrature"])
+    def test_shuffled_grid_matches_per_point_propagation(self, forcing):
+        system = DepcaSystem.build(PANEL_A, PANEL_B, forcing)
+        traj = solve_bounded_depca(system, -3, 3, 1e-9)
+        ints = np.arange(-3, 4, dtype=float)
+        ts = np.concatenate([
+            ints, ints - 1e-9, ints + 1e-9,  # the window ends and integer straddles
+            np.arange(-3, 3) + 0.25, np.arange(-3, 3) + 0.6,  # repeated u
+            [0.25, 0.25, -1.4], np.random.default_rng(5).uniform(-3, 3, 20)])
+        ts = np.random.default_rng(7).permutation(ts)
+        got = traj.evaluate_grid(ts)
+        want = np.stack([self.per_point(traj, t) for t in ts])
+        scale = 1.0 + float(np.max(np.abs(want)))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * scale)
+
+    def test_first_offending_point_is_named(self):
+        traj = solve_bounded_depca(trig_p3_system(), -3, 3, 1e-9)
+        with pytest.raises(ValueError, match=r"t = 3\.5 outside .*\[-3, 3\]"):
+            traj.evaluate_grid([0.5, 3.5, -9.0])
+        assert traj.evaluate_grid([-3.0 - 1e-9, 3.0 + 1e-9]).shape == (2, 3)
+
+    @pytest.mark.parametrize("forcing", [
+        sig.TrigPolynomial.cosine([1.0, 0.5], 1.3),
+        sig.StepOfSequence.from_periodic_values([[1.0, 0.5], [-0.7, 0.2]]),
+        sig.AATest.from_amplitude([1.0, -0.5]),
+    ], ids=["trig", "step", "quadrature"])
+    def test_interval_forcing_on_an_integer_array(self, forcing):
+        system = DepcaSystem.build(PANEL_A, PANEL_B, forcing)
+        ns = np.array([-3, 0, 2, 5, 2])
+        got = interval_forcing(system, ns, 0.35, 1e-11)
+        want = np.stack([interval_forcing(system, int(n), 0.35, 1e-11) for n in ns])
+        assert got.shape == (5, 2) and want.shape == (5, 2)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert interval_forcing(system, ns[:0], 0.35, 1e-11).shape == (0, 2)
+
+    def test_near_resonant_term_on_an_integer_array(self):
+        # spec(A) = {i}: the frequency-1 term takes the kernel integral per n,
+        # the frequency-3 term the closed form
+        system = DepcaSystem.build(np.array([[1j]]), np.zeros((1, 1)),
+                                   sig.TrigPolynomial.from_terms([([1.0], 1.0),
+                                                                  ([0.5], 3.0)]))
+        ns = np.array([-2, 1, 4])
+        u = 0.75
+        exact = [np.exp(1j * (n + u)) * u
+                 + 0.5 * (np.exp(3j * (n + u)) - np.exp(1j * u + 3j * n)) / 2j
+                 for n in ns]
+        np.testing.assert_allclose(interval_forcing(system, ns, u, 1e-12)[:, 0],
+                                   exact, atol=1e-10)
+
+    def test_residual_check_calls_the_forcing_once_per_u(self, monkeypatch):
+        # 7 probes and their two stencil points per interval share 21 u
+        traj = solve_bounded_depca(trig_p3_system(), -200, 200, 1e-9)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return interval_forcing(*args)
+
+        monkeypatch.setattr(depca_engine, "interval_forcing", counting)
+        assert depca_engine.ode_residual_check(traj) == (
+            traj.diagnostics.residual_max, traj.diagnostics.residual_tol)
+        assert len(calls) <= 22
+
+
+class TestErrorsSayWhere:
+    def test_residual_error_names_the_worst_probe(self, monkeypatch):
+        monkeypatch.setattr(depca_engine, "DEFAULT",
+                            dataclasses.replace(DEFAULT, residual_scale=1e-30))
+        with pytest.raises(ResidualCheckError) as info:
+            solve_bounded_depca(trig_p3_system(), -3, 3, 1e-9)
+        found = re.search(r"at t = (\S+) \(n = (-?\d+), u = (\S+)\)", str(info.value))
+        t, n, u = float(found[1]), int(found[2]), float(found[3])
+        assert n == math.floor(t) and -3 <= n < 3
+        assert u == pytest.approx(t - n) and 8 * u in range(1, 8)
+
+    def test_continuity_error_names_the_integer(self):
+        system = scalar_system(0.0, -0.5, COS_2PI)  # C = 1/2
+        quad_tol = depca_engine.quad_tol_for(1e-9)
+        dsys = reduce_to_difference(system, quad_tol)
+        cert = depca_engine.certify_companion(dsys.constant_coefficient)
+        xs = solve_bounded(dsys, cert, -4, 4, 1e-9)
+        # x(1) off by 1e-3: the defect is 1e-3 at n = 0 and C 1e-3 at n = 1
+        xs[5] += 1e-3
+        with pytest.raises(ContinuityBreachError, match=r"at n = 0 exceeds"):
+            depca_engine.stitch_trajectory(system, dsys, xs, -4, 1e-9, quad_tol, cert)
 
 
 class TestWideSystems:

@@ -258,6 +258,12 @@ class TestSolveBounded:
         xs = solve_bounded(sys, certify_constant(cmat), -50, 50, tol)
         assert recursion_residual(sys, xs, -50) <= 3.0 * tol
 
+    def test_sup_h_is_the_max_over_the_range(self):
+        sys = DifferenceSystem.constant(np.diag([0.5, 3.0]),
+                                        lambda n: np.array([np.cos(n), 0.3j * n]))
+        assert sys.sup_h(-7, 5) == max(sup_norm(sys.h(k)) for k in range(-7, 5))
+        assert sys.sup_h(3, 3) == 0.0
+
     @pytest.mark.parametrize("cval", [0.5, 2.0])
     def test_oracle_equivalence(self, cval):
         tol = 1e-10

@@ -3,7 +3,7 @@ method of depca takes a tolerance set, or one of the single-valued grid,
 level and verification options, as a parameter.  Plumbing that serves a
 single caller counts too: no solver takes a change of basis (``transform``)
 or the system it came from (``original``); a solver works on the caller's
-system."""
+system.  Array evaluation takes no chunk or batch size either."""
 
 import dataclasses
 import importlib
@@ -14,7 +14,8 @@ import depca
 from depca.tolerances import Tolerances
 
 KNOBS = {"tols", "grid_points", "verify_residual", "points_per_interval",
-         "max_levels", "grid", "transform", "original"}
+         "max_levels", "grid", "transform", "original",
+         "chunk", "chunk_size", "batch", "batch_size"}
 
 
 def defined_functions():
