@@ -314,22 +314,44 @@ def forcing_integral(system: DepcaSystem, t: float, quad_tol: float) -> np.ndarr
 # reduction to the companion difference equation
 
 
+def scale_free_det(system: DepcaSystem, us: np.ndarray) -> np.ndarray:
+    """s(u) = |det Z(u)| e^{-u Re tr A} = |det(I + integral_0^u e^{-Ar} dr B)|
+    at every u of ``us``.
+
+    s does not carry the e^{u tr A} of det e^{Au}: it is 1 for B = 0 at any
+    scale of A, and for a triangular pair it is the product of the pair
+    factors |1 + b_ii u phi1(-a_ii u)|.  One ``slogdet`` of the stacked Z(u)
+    gives it without overflow or underflow of det Z itself.
+    """
+    us = np.asarray(us, dtype=float)
+    sign, logdet = np.linalg.slogdet(np.stack(
+        [propagator(system, u, 0.0) for u in us.tolist()]))
+    return np.abs(sign) * np.exp(logdet - us * np.trace(system.a).real)
+
+
 def reduce_to_difference(system: DepcaSystem, quad_tol: float) -> DifferenceSystem:
     """Companion system x(n+1) = C x(n) + h(n), C = Z(n+1, n).
 
     C is constant because A and B are; h(n) accumulates the forcing across
     [n, n+1].  A singular C (the invertibility condition failing at the
     interval endpoint) aborts: the equation has no backward-complete flow.
+    C counts as singular when its scale-free determinant s(1) =
+    |det C| e^{-Re tr A} is below ``det_threshold``, the screen's floor.
     """
-    c = propagator(system, 1.0, 0.0)
-    det = complex(np.linalg.det(c))
-    if abs(det) < DEFAULT.det_threshold:
+    det = float(scale_free_det(system, [1.0])[0])
+    if det < DEFAULT.det_threshold:
         raise SingularCError(det)
+    c = propagator(system, 1.0, 0.0)
     return DifferenceSystem((c,), lambda n: interval_forcing(system, n, 1.0, quad_tol))
 
 
 @dataclass(frozen=True)
 class ZInvertibilityReport:
+    """The screen's verdict.  ``min_det`` is the grid minimum, at
+    ``argmin_u``, of the scale-free determinant s(u) = |det Z(u)| e^{-u Re tr A}
+    (1 for B = 0); it passes at or above ``threshold`` when no eigenvalue
+    pair fails."""
+
     min_det: float
     argmin_u: float
     grid_points: int
@@ -342,7 +364,8 @@ class ZInvertibilityReport:
         return self.min_det >= self.threshold and not self.analytic_failures
 
     def __str__(self) -> str:
-        parts = [f"min |det Z(u)| = {self.min_det:.3e} at u = {self.argmin_u:.6g} "
+        parts = [f"min |det Z(u)| e^(-u Re tr A) = {self.min_det:.3e} at u = "
+                 f"{self.argmin_u:.6g} "
                  f"({self.grid_points} grid points, threshold {self.threshold:.1e})"]
         if self.analytic_performed:
             if self.analytic_failures:
@@ -361,9 +384,11 @@ def check_propagator_invertibility(system: DepcaSystem) -> ZInvertibilityReport:
     """Screen invertibility of Z(t, tau) across a unit interval.
 
     When A and B triangularize simultaneously, the scalar eigenvalue-pair
-    condition is checked analytically for every diagonal pair; the |det Z|
-    scan on 201 equally spaced u in [0, 1] runs in every case as the
-    general fallback.
+    condition is checked analytically for every diagonal pair; the scan of
+    the scale-free determinant ``scale_free_det`` on 201 equally spaced u
+    in [0, 1] runs in every case as the general fallback.  For a triangular
+    pair that scan is the product of the pairs' factors, so both checks
+    measure one quantity against one ``det_threshold``.
     """
     try:
         _, abar, bbar = simultaneous_triangularize(system.a, system.b)
@@ -373,8 +398,7 @@ def check_propagator_invertibility(system: DepcaSystem) -> ZInvertibilityReport:
         analytic, failures = True, eigenvalue_pair_failures(abar, bbar)
 
     us = np.linspace(0.0, 1.0, 201)
-    dets = np.array([abs(np.linalg.det(propagator(system, float(u), 0.0)))
-                     for u in us])
+    dets = scale_free_det(system, us)
     i_min = int(np.argmin(dets))
     return ZInvertibilityReport(float(dets[i_min]), float(us[i_min]),
                                 len(us), analytic, failures,

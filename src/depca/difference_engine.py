@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidCertificateError, SingularCoefficientError, WindowTooSmallError
-from .matrix_core import as_square_matrix, mat_norm, spectral_split, sup_norm
+from .matrix_core import as_square_matrix, is_singular, mat_norm, spectral_split, sup_norm
 from .tolerances import DEFAULT
 
 POWER_CAP = 10**6  # largest power of a scaled dichotomy step searched
@@ -41,14 +41,16 @@ class DifferenceSystem:
 
     @staticmethod
     def periodic(coefficients, h: Callable[[int], np.ndarray]) -> "DifferenceSystem":
+        """The system of one period of coefficients; SingularCoefficientError
+        for a C(j) that ``is_singular`` at its own scale,
+        |det C(j)| <= eps ||C(j)||^p."""
         mats = tuple(as_square_matrix(c, "C") for c in coefficients)
         if not mats:
             raise ValueError("need the coefficient matrices of one period")
         for j, m in enumerate(mats):
-            det = abs(np.linalg.det(m))
-            if det < DEFAULT.det_floor:
+            if is_singular(m):
                 raise SingularCoefficientError(
-                    f"|det C({j})| = {det:.3g} below the invertibility floor")
+                    f"C({j}) is singular: |det C({j})| <= eps ||C({j})||^p")
         return DifferenceSystem(mats, h)
 
     @property

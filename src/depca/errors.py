@@ -49,14 +49,15 @@ class SingularCError(DepcaError):
     """The companion coefficient C = Z(n+1, n) is singular.
 
     The hybrid equation then has no backward-complete solution flow; the
-    standing invertibility hypothesis on the propagator fails.
+    standing invertibility hypothesis on the propagator fails.  ``det`` is
+    the scale-free determinant |det C| e^{-Re tr A}.
     """
 
-    def __init__(self, det: complex):
+    def __init__(self, det: float):
         self.det = det
         super().__init__(
-            f"companion coefficient is singular (|det C| = {abs(det):.3g}): "
-            "no backward-complete solution flow"
+            f"companion coefficient is singular (|det C| e^(-Re tr A) = "
+            f"{det:.3g}): no backward-complete solution flow"
         )
 
 

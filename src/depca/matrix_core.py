@@ -8,6 +8,7 @@ dense systems of dimension p <= 16 and are pure functions of their inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,15 @@ def sup_norm(v) -> float:
     return float(np.max(np.abs(np.asarray(v)))) if np.asarray(v).size else 0.0
 
 
+def is_singular(m: np.ndarray) -> bool:
+    """|det M| <= eps ||M||^p: singular at the scale of M itself, so the
+    verdict does not change with M -> c M.  Read in logarithms, which
+    neither overflow nor underflow; the zero matrix is singular."""
+    sign, logdet = np.linalg.slogdet(m)
+    return bool(sign == 0 or logdet <= math.log(np.finfo(float).eps)
+                + m.shape[0] * math.log(mat_norm(m)))
+
+
 # ---------------------------------------------------------------------------
 # matrix exponential, degree-13 Pade with scaling and squaring
 
@@ -71,8 +81,11 @@ def expm(a, t: float = 1.0) -> np.ndarray:
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
-    """Pade-13 kernel of ``expm`` on an already validated square array."""
+    """Pade-13 kernel of ``expm`` on an already validated square array;
+    exactly I for the zero matrix, so Z(0) = I to the bit."""
     p = m.shape[0]
+    if not m.any():
+        return np.eye(p, dtype=m.dtype)
     norm1 = float(np.linalg.norm(m, 1)) if p else 0.0
     squarings = 0
     if norm1 > _THETA13:
@@ -246,6 +259,8 @@ class EigenConditionCheck:
     The scanned quantity is (lambda_B / lambda_A)(1 - e^{-u lambda_A}),
     read as lambda_B * u when lambda_A = 0; a violation means it hits -1,
     which makes the scalar interval propagator singular at u_star.
+    ``min_modulus`` is the least |1 + expr|, the pair's factor of the
+    scale-free determinant |det Z(u)| e^{-u Re tr A} that the grid screens.
     """
 
     passed: bool
@@ -269,7 +284,9 @@ def check_eigenvalue_condition(lambda_a: complex, lambda_b: complex
     condition continuously (phi1(0) = 1 gives the lambda_A = 0 case).  The
     scan locates the minimum of |expr + 1| on a 2049-point grid and refines
     it by bisecting the derivative of |expr + 1|^2, which pins the
-    violating u* far below 1e-12.
+    violating u* far below 1e-12.  |expr + 1| is the scalar propagator's
+    scale-free determinant, so it fails at or below ``det_threshold``, the
+    floor of the grid screen.
     """
     la = complex(lambda_a)
     lb = complex(lambda_b)
@@ -307,7 +324,7 @@ def check_eigenvalue_condition(lambda_a: complex, lambda_b: complex
     if abs(phi(1.0)) < modulus:
         u_min, modulus = 1.0, float(abs(phi(1.0)))
 
-    if modulus <= DEFAULT.eigen_condition_tol:
+    if modulus <= DEFAULT.det_threshold:
         return EigenConditionCheck(False, u_min, modulus, u_min)
     return EigenConditionCheck(True, None, modulus, u_min)
 
@@ -367,11 +384,13 @@ def simultaneous_triangularize(a, b, user_t=None
                                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Find T with T^-1 A T and T^-1 B T both upper triangular.
 
-    A user-supplied T is validated and used as-is.  Otherwise the pair is
-    screened by its commutator: if AB - BA is not nilpotent the pair is
-    certainly not triangularizable; if it is (including the commuting case),
-    a basis is built by iterated common-eigenvector deflation, which may
-    still fail for non-commuting pairs since the screen is only necessary.
+    A user-supplied T is validated and used as-is: it is refused when it
+    ``is_singular`` or leaves either matrix not upper triangular.  Otherwise
+    the pair is screened by its commutator: if AB - BA is not nilpotent the
+    pair is certainly not triangularizable; if it is (including the
+    commuting case), a basis is built by iterated common-eigenvector
+    deflation, which may still fail for non-commuting pairs since the
+    screen is only necessary.
     """
     a = as_square_matrix(a, "A")
     b = as_square_matrix(b, "B")
@@ -382,7 +401,7 @@ def simultaneous_triangularize(a, b, user_t=None
 
     if user_t is not None:
         t = as_square_matrix(user_t, "userT")
-        if abs(np.linalg.det(t)) < 1e-12:
+        if is_singular(t):
             raise UserTInvalidError("supplied T is singular")
         abar = np.linalg.solve(t, a @ t)
         bbar = np.linalg.solve(t, b @ t)

@@ -23,10 +23,10 @@ class Tolerances:
     triangular_tol: float = 1e-9        # below-diagonal mass allowed in results
     common_eigvec_tol: float = 1e-7     # residual for a common eigenvector
 
-    # propagator invertibility
-    eigen_condition_tol: float = 1e-10  # |expr + 1| treated as a violation
-    det_threshold: float = 1e-10        # |det Z| grid screen
-    det_floor: float = 1e-12            # |det C| below which C is singular
+    # propagator invertibility: the floor of the scale-free determinant
+    # s(u) = |det Z(u)| e^{-u Re tr A}, on the grid screen, on C = Z(1) and
+    # on each eigenvalue-pair factor |1 + b u phi1(-a u)|
+    det_threshold: float = 1e-10
 
     # forcing integrals
     resonance_margin: float = 1e-6      # |i*omega - lambda(A)| for closed forms

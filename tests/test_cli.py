@@ -139,6 +139,19 @@ def test_verify_refutes_a_singular_propagator(tmp_path):
     assert float(report_value(report, "det_z_min")) == 0.0
 
 
+def test_verify_passes_a_stiff_pure_a_system(tmp_path):
+    # |det Z(u)| = e^{-30 u} falls below any absolute floor; the scale-free
+    # determinant the screen reports is 1 for B = 0
+    config = {"system": {"dimension": 1, "A": [[-30.0]], "B": [[0.0]]},
+              "forcing": {"kind": "cos", "coefficient": [1.0], "omega": 1.0},
+              "solve": {"n0": -2, "n1": 2, "tol": 1e-9, "dt": 0.25},
+              "mode": "verify"}
+    assert run_cli(tmp_path, config) == 0
+    report = tmp_path / "verify_report.txt"
+    assert report_value(report, "verify_pass") == "true"
+    assert float(report_value(report, "det_z_min")) == pytest.approx(1.0, abs=1e-10)
+
+
 def test_solve_with_a_singular_propagator_cannot_run(tmp_path, capsys):
     assert run_cli(tmp_path, dict(CONFIG, system=SINGULAR_Z)) == 1
     assert capsys.readouterr().err.startswith("error: ")

@@ -10,6 +10,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from depca import depca_engine
 from depca import diagnostics as diag
@@ -29,6 +31,7 @@ from depca.difference_engine import solve_bounded
 from depca.errors import (
     BoundaryEigenvalueError,
     ContinuityBreachError,
+    DepcaError,
     NoDichotomyError,
     QuadratureError,
     ResidualCheckError,
@@ -293,11 +296,17 @@ class TestPropagatorInvertibility:
         system = DepcaSystem.build(a, b, sig.TrigPolynomial.constant(f))
         report = check_propagator_invertibility(system)
         assert report.passed and not report.analytic_performed
-        assert report.min_det == pytest.approx(6.06e-2, abs=1e-4)
-        assert "grid check only" in str(report)
-
+        # the scale-free |det Z(u)| e^{-u tr A} on the screen's grid
         w = np.zeros((4, 4))
         w[:2, :2], w[:2, 2:] = a, np.eye(2)
+        scale_free = []
+        for u in np.linspace(0.0, 1.0, 201):
+            e = scipy.linalg.expm(w * u)
+            z = e[:2, :2] + e[:2, 2:] @ b
+            scale_free.append(abs(np.linalg.det(z)) * np.exp(-u * np.trace(a)))
+        assert report.min_det == pytest.approx(min(scale_free), rel=1e-12)
+        assert "grid check only" in str(report)
+
         e = scipy.linalg.expm(w)
         c, h = e[:2, :2] + e[:2, 2:] @ b, e[:2, 2:] @ f
         x = np.linalg.solve(np.eye(2) - c, h)
@@ -305,6 +314,50 @@ class TestPropagatorInvertibility:
         assert traj.diagnostics.screen.analytic_performed is False
         ts = np.linspace(-3.0, 3.0, 49)
         assert np.max(np.abs(traj.evaluate_grid(ts) - x)) <= 1e-10
+
+    @pytest.mark.parametrize("scale", [50.0, -50.0])
+    def test_wide_stiff_pure_a_passes(self, scale):
+        # |det Z(u)| = e^{16 * 50 u} over- or underflows; the scale-free
+        # determinant is 1 for B = 0
+        p = 16
+        system = DepcaSystem.build(scale * np.eye(p), np.zeros((p, p)),
+                                   sig.TrigPolynomial.cosine(np.ones(p), 1.0))
+        report = check_propagator_invertibility(system)
+        assert report.passed
+        assert report.min_det == pytest.approx(1.0, abs=1e-10)
+
+    def test_grid_is_the_product_of_the_pair_factors(self):
+        # an upper-triangular pair: the grid's scale-free determinant is
+        # prod_i |1 + b_ii u phi1(-a_ii u)|, here taken to 30 digits
+        a = np.array([[-1.0, 0.5, 0.2], [0.0, 0.8, -0.3], [0.0, 0.0, 2.0]])
+        b = np.array([[-0.4, 0.1, 0.4], [0.0, -0.9, 0.2], [0.0, 0.0, 0.5]])
+        system = DepcaSystem.build(a, b, sig.TrigPolynomial.constant(np.ones(3)))
+        report = check_propagator_invertibility(system)
+        assert report.analytic_performed and report.passed
+
+        def factor(ai, bi, u):
+            return abs(1 + bi * (1 - mp.exp(-ai * u)) / ai)
+
+        with mp.workdps(30):
+            grid = [mp.mpf(k) / 200 for k in range(201)]
+            exact = min(mp.fprod(factor(mp.mpf(a[i, i]), mp.mpf(b[i, i]), u)
+                                 for i in range(3)) for u in grid)
+        assert exact < 0.5  # the minimum is interior, not s(0) = 1
+        assert report.min_det == pytest.approx(float(exact), rel=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+    def test_orthogonal_similarity_keeps_the_minimum(self, seed, p):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((p, p))
+        b = 0.3 * rng.standard_normal((p, p))
+        q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        forcing = sig.TrigPolynomial.constant(np.ones(p))
+        report = check_propagator_invertibility(DepcaSystem.build(a, b, forcing))
+        assume(report.min_det > 1e-3)
+        moved = check_propagator_invertibility(
+            DepcaSystem.build(q.T @ a @ q, q.T @ b @ q, forcing))
+        assert moved.min_det == pytest.approx(report.min_det, rel=1e-10)
 
 
 class TestSolveBoundedDepca:
@@ -436,6 +489,12 @@ def trig_p3_system():
 class TestOneEvaluationPath:
     """``evaluate_grid`` groups points by their fractional part u; the
     segment value is Z(u) x(n) + H_n(u) whatever the grouping."""
+
+    def test_integers_return_the_samples_bit_for_bit(self):
+        # Z(0) = I exactly and H_n(0) = 0
+        traj = solve_bounded_depca(trig_p3_system(), -3, 3, 1e-9)
+        assert np.array_equal(propagator(traj.system, 0.0, 0.0), np.eye(3))
+        assert np.array_equal(traj.evaluate_grid(np.arange(-3.0, 4.0)), traj.samples)
 
     @staticmethod
     def per_point(traj, t):
@@ -777,7 +836,7 @@ class TestStiffHyperbolicA:
     """B = 0 with |A| large: C = e^A is far from the unit circle, and the
     certificate must not form e^{alpha d} for large d."""
 
-    @pytest.mark.parametrize("a", [-20.0, 15.0])
+    @pytest.mark.parametrize("a", [-20.0, 15.0, -60.0, -30.0, -25.0])
     def test_matches_closed_form(self, a):
         # x' = a x + cos t has the bounded solution Re(e^{it} / (i - a))
         system = scalar_system(a, 0.0, sig.TrigPolynomial.cosine([1.0], 1.0))
@@ -790,6 +849,27 @@ class TestStiffHyperbolicA:
             assert abs(traj.integer_samples[n][0] - exact(n)) <= 1e-9
         ts = np.linspace(-2, 2, 161)
         assert np.max(np.abs(traj.evaluate_grid(ts)[:, 0] - exact(ts))) <= 1e-9
+
+    def test_stiff_diagonal_pair_matches_closed_form(self):
+        # x' = A x + v cos t with A = -12 I has the bounded solution
+        # Re((iI - A)^-1 v e^{it}); |det Z| = e^{-24 u} is scaled out
+        a, v = -12.0 * np.eye(2), np.array([1.0, -0.5])
+        system = DepcaSystem.build(a, np.zeros((2, 2)),
+                                   sig.TrigPolynomial.cosine(v, 1.0))
+        traj = solve_bounded_depca(system, -2, 2, 1e-10)
+        ts = np.linspace(-2, 2, 81)
+        exact = (np.exp(1j * ts)[:, None]
+                 * np.linalg.solve(1j * np.eye(2) - a, v)).real
+        assert np.max(np.abs(traj.evaluate_grid(ts) - exact)) <= 1e-9
+
+    @pytest.mark.parametrize("a", [25.0, 40.0])
+    def test_steep_unstable_a_fails_typed(self, a):
+        # the forward segments e^{A u} x(n) lose the bounded solution to
+        # round-off; they wait for backward segments (ROADMAP direction 4,
+        # second bullet), and until then the solve must raise, not return
+        system = scalar_system(a, 0.0, sig.TrigPolynomial.cosine([1.0], 1.0))
+        with pytest.raises(DepcaError):
+            solve_bounded_depca(system, -2, 2, 1e-10)
 
 
 class TestRotationSpan:

@@ -124,6 +124,14 @@ class TestCertifyConstant:
         with pytest.raises(SingularCoefficientError):
             certify_constant(np.array([[0.0]]))
 
+    def test_singularity_is_judged_at_the_scale_of_c(self):
+        # det C = 1e-14 for a perfectly conditioned C = 1e-7 I; a rank-one
+        # C of any size is refused
+        cert = certify_constant(1e-7 * np.eye(2))
+        np.testing.assert_array_equal(cert.projection, np.eye(2))
+        with pytest.raises(SingularCoefficientError):
+            certify_constant(1e6 * np.ones((2, 2)))
+
     def test_green_decay_certified(self):
         c = mixed_3x3()
         cert = certify_constant(c)

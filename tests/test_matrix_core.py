@@ -44,6 +44,13 @@ class TestExpm:
         a = rng.standard_normal((4, 4))
         np.testing.assert_allclose(expm(a, 0.0), np.eye(4), atol=1e-15)
 
+    def test_zero_exponent_is_exactly_the_identity(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal((2, 4, 4))
+        assert np.array_equal(expm(a, 0.0), np.eye(4))
+        e, integ = expm_integral(a, b, 0.0)
+        assert np.array_equal(e, np.eye(4)) and not integ.any()
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_scipy(self, seed):
         rng = np.random.default_rng(seed)
@@ -273,6 +280,21 @@ class TestSimultaneousTriangularize:
         b = np.eye(2)
         with pytest.raises(UserTInvalidError):
             simultaneous_triangularize(a, b, user_t=np.eye(2))
+
+    def test_small_user_t_accepted(self):
+        # det T = 1e-16 but T = 1e-4 I is perfectly conditioned: singularity
+        # is judged at the scale of T, |det T| <= eps ||T||^p
+        a = np.triu(np.arange(1.0, 17.0).reshape(4, 4))
+        b = np.triu(np.ones((4, 4)))
+        t, got_a, got_b = simultaneous_triangularize(a, b, user_t=1e-4 * np.eye(4))
+        np.testing.assert_array_equal(t, 1e-4 * np.eye(4))
+        np.testing.assert_allclose(got_a, a, rtol=1e-14)
+        np.testing.assert_allclose(got_b, b, rtol=1e-14)
+
+    def test_singular_user_t_rejected(self):
+        a, b = np.diag([1.0, 2.0]), np.eye(2)
+        with pytest.raises(UserTInvalidError, match="singular"):
+            simultaneous_triangularize(a, b, user_t=np.ones((2, 2)))
 
 
 class TestEigenConditionSeriesBranch:

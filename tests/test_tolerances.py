@@ -52,4 +52,7 @@ def test_no_function_takes_a_numeric_option():
 
 
 def test_every_tolerance_field_is_read():
-    assert "projection_sum" not in {f.name for f in dataclasses.fields(Tolerances)}
+    # removed fields stay removed: the singularity rules are scale-free
+    # (det_threshold on |det Z(u)| e^{-u Re tr A}, eps ||M||^p otherwise)
+    fields = {f.name for f in dataclasses.fields(Tolerances)}
+    assert not {"projection_sum", "det_floor", "eigen_condition_tol"} & fields
