@@ -511,8 +511,8 @@ def _certificate_from_config(config: RunConfig, system: DepcaSystem
 
 def _run_verify(config: RunConfig, report: Report) -> int:
     """Check the config's certificate, or screen Z and solve.  ``det_z_min``
-    is the screen's ``min_det``: the least scale-free determinant
-    |det Z(u)| e^{-u Re tr A} on its grid, 1 for B = 0 at any scale of A."""
+    is the screen's ``min_det``: the least (|det Z(u)| e^{-u Re tr A})^(1/p)
+    on its grid, 1 for B = 0 at any scale of A."""
     exit_code = 0
     if config.certificate is not None:
         cert = _certificate_from_config(config, config.system())

@@ -314,19 +314,22 @@ def forcing_integral(system: DepcaSystem, t: float, quad_tol: float) -> np.ndarr
 # reduction to the companion difference equation
 
 
-def scale_free_det(system: DepcaSystem, us: np.ndarray) -> np.ndarray:
-    """s(u) = |det Z(u)| e^{-u Re tr A} = |det(I + integral_0^u e^{-Ar} dr B)|
-    at every u of ``us``.
+def log_det_factor(system: DepcaSystem, us: np.ndarray) -> np.ndarray:
+    """log g(u) at every u of ``us``, where g(u) = s(u)^(1/p) and
+    s(u) = |det Z(u)| e^{-u Re tr A} = |det(I + integral_0^u e^{-Ar} dr B)|;
+    -inf where Z(u) is singular.
 
     s does not carry the e^{u tr A} of det e^{Au}: it is 1 for B = 0 at any
     scale of A, and for a triangular pair it is the product of the pair
-    factors |1 + b_ii u phi1(-a_ii u)|.  One ``slogdet`` of the stacked Z(u)
-    gives it without overflow or underflow of det Z itself.
+    factors |1 + b_ii u phi1(-a_ii u)|.  g is their geometric mean, so a
+    floor on g, like the pair check's floor on each factor, does not
+    compound with p.  One ``slogdet`` of the stacked Z(u) gives it in
+    logarithms, which neither overflow nor underflow.
     """
     us = np.asarray(us, dtype=float)
-    sign, logdet = np.linalg.slogdet(np.stack(
+    _, logdet = np.linalg.slogdet(np.stack(
         [propagator(system, u, 0.0) for u in us.tolist()]))
-    return np.abs(sign) * np.exp(logdet - us * np.trace(system.a).real)
+    return (logdet - us * np.trace(system.a).real) / system.dimension
 
 
 def reduce_to_difference(system: DepcaSystem, quad_tol: float) -> DifferenceSystem:
@@ -335,12 +338,12 @@ def reduce_to_difference(system: DepcaSystem, quad_tol: float) -> DifferenceSyst
     C is constant because A and B are; h(n) accumulates the forcing across
     [n, n+1].  A singular C (the invertibility condition failing at the
     interval endpoint) aborts: the equation has no backward-complete flow.
-    C counts as singular when its scale-free determinant s(1) =
-    |det C| e^{-Re tr A} is below ``det_threshold``, the screen's floor.
+    C counts as singular when g(1) = (|det C| e^{-Re tr A})^(1/p) of
+    ``log_det_factor`` is below ``det_threshold``, the screen's floor.
     """
-    det = float(scale_free_det(system, [1.0])[0])
-    if det < DEFAULT.det_threshold:
-        raise SingularCError(det)
+    log_g = float(log_det_factor(system, [1.0])[0])
+    if log_g < math.log(DEFAULT.det_threshold):
+        raise SingularCError(math.exp(log_g))
     c = propagator(system, 1.0, 0.0)
     return DifferenceSystem((c,), lambda n: interval_forcing(system, n, 1.0, quad_tol))
 
@@ -348,9 +351,10 @@ def reduce_to_difference(system: DepcaSystem, quad_tol: float) -> DifferenceSyst
 @dataclass(frozen=True)
 class ZInvertibilityReport:
     """The screen's verdict.  ``min_det`` is the grid minimum, at
-    ``argmin_u``, of the scale-free determinant s(u) = |det Z(u)| e^{-u Re tr A}
-    (1 for B = 0); it passes at or above ``threshold`` when no eigenvalue
-    pair fails."""
+    ``argmin_u``, of g(u) = (|det Z(u)| e^{-u Re tr A})^(1/p), the geometric
+    mean of the propagator's scale-free determinant factors (1 for B = 0,
+    and at most g(0) = 1); it passes at or above ``threshold`` when no
+    eigenvalue pair fails."""
 
     min_det: float
     argmin_u: float
@@ -364,7 +368,7 @@ class ZInvertibilityReport:
         return self.min_det >= self.threshold and not self.analytic_failures
 
     def __str__(self) -> str:
-        parts = [f"min |det Z(u)| e^(-u Re tr A) = {self.min_det:.3e} at u = "
+        parts = [f"min (|det Z(u)| e^(-u Re tr A))^(1/p) = {self.min_det:.3e} at u = "
                  f"{self.argmin_u:.6g} "
                  f"({self.grid_points} grid points, threshold {self.threshold:.1e})"]
         if self.analytic_performed:
@@ -385,10 +389,11 @@ def check_propagator_invertibility(system: DepcaSystem) -> ZInvertibilityReport:
 
     When A and B triangularize simultaneously, the scalar eigenvalue-pair
     condition is checked analytically for every diagonal pair; the scan of
-    the scale-free determinant ``scale_free_det`` on 201 equally spaced u
-    in [0, 1] runs in every case as the general fallback.  For a triangular
-    pair that scan is the product of the pairs' factors, so both checks
-    measure one quantity against one ``det_threshold``.
+    g(u) of ``log_det_factor`` on 201 equally spaced u in [0, 1] runs in
+    every case as the general fallback.  Both hold one ``det_threshold``:
+    the pair check against each factor, the scan against the factors'
+    geometric mean g, so a triangular pair that passes the pair check
+    passes the scan.
     """
     try:
         _, abar, bbar = simultaneous_triangularize(system.a, system.b)
@@ -398,9 +403,9 @@ def check_propagator_invertibility(system: DepcaSystem) -> ZInvertibilityReport:
         analytic, failures = True, eigenvalue_pair_failures(abar, bbar)
 
     us = np.linspace(0.0, 1.0, 201)
-    dets = scale_free_det(system, us)
-    i_min = int(np.argmin(dets))
-    return ZInvertibilityReport(float(dets[i_min]), float(us[i_min]),
+    log_g = log_det_factor(system, us)
+    i_min = int(np.argmin(log_g))
+    return ZInvertibilityReport(float(np.exp(log_g[i_min])), float(us[i_min]),
                                 len(us), analytic, failures,
                                 DEFAULT.det_threshold)
 

@@ -43,14 +43,14 @@ class DifferenceSystem:
     def periodic(coefficients, h: Callable[[int], np.ndarray]) -> "DifferenceSystem":
         """The system of one period of coefficients; SingularCoefficientError
         for a C(j) that ``is_singular`` at its own scale,
-        |det C(j)| <= eps ||C(j)||^p."""
+        sigma_min(C(j)) <= p eps sigma_max(C(j))."""
         mats = tuple(as_square_matrix(c, "C") for c in coefficients)
         if not mats:
             raise ValueError("need the coefficient matrices of one period")
         for j, m in enumerate(mats):
             if is_singular(m):
                 raise SingularCoefficientError(
-                    f"C({j}) is singular: |det C({j})| <= eps ||C({j})||^p")
+                    f"C({j}) is singular: sigma_min <= p eps sigma_max")
         return DifferenceSystem(mats, h)
 
     @property

@@ -50,13 +50,13 @@ class SingularCError(DepcaError):
 
     The hybrid equation then has no backward-complete solution flow; the
     standing invertibility hypothesis on the propagator fails.  ``det`` is
-    the scale-free determinant |det C| e^{-Re tr A}.
+    the per-factor scale-free determinant (|det C| e^{-Re tr A})^(1/p).
     """
 
     def __init__(self, det: float):
         self.det = det
         super().__init__(
-            f"companion coefficient is singular (|det C| e^(-Re tr A) = "
+            f"companion coefficient is singular ((|det C| e^(-Re tr A))^(1/p) = "
             f"{det:.3g}): no backward-complete solution flow"
         )
 

@@ -8,7 +8,6 @@ dense systems of dimension p <= 16 and are pure functions of their inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +50,13 @@ def sup_norm(v) -> float:
 
 
 def is_singular(m: np.ndarray) -> bool:
-    """|det M| <= eps ||M||^p: singular at the scale of M itself, so the
-    verdict does not change with M -> c M.  Read in logarithms, which
-    neither overflow nor underflow; the zero matrix is singular."""
-    sign, logdet = np.linalg.slogdet(m)
-    return bool(sign == 0 or logdet <= math.log(np.finfo(float).eps)
-                + m.shape[0] * math.log(mat_norm(m)))
+    """sigma_min(M) <= p eps sigma_max(M): numerically rank-deficient, by
+    the tolerance of ``np.linalg.matrix_rank``.  The verdict reads the
+    conditioning of M alone, so it does not change with M -> c M and, unlike
+    a floor on |det M|, does not compound a moderate spread of singular
+    values over p; the zero matrix is singular."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return bool(sv[-1] <= m.shape[0] * np.finfo(float).eps * sv[0])
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +260,8 @@ class EigenConditionCheck:
     read as lambda_B * u when lambda_A = 0; a violation means it hits -1,
     which makes the scalar interval propagator singular at u_star.
     ``min_modulus`` is the least |1 + expr|, the pair's factor of the
-    scale-free determinant |det Z(u)| e^{-u Re tr A} that the grid screens.
+    scale-free determinant |det Z(u)| e^{-u Re tr A}, whose geometric mean
+    over the p factors the grid screens.
     """
 
     passed: bool
@@ -286,7 +287,7 @@ def check_eigenvalue_condition(lambda_a: complex, lambda_b: complex
     it by bisecting the derivative of |expr + 1|^2, which pins the
     violating u* far below 1e-12.  |expr + 1| is the scalar propagator's
     scale-free determinant, so it fails at or below ``det_threshold``, the
-    floor of the grid screen.
+    floor the grid screen puts on the geometric mean of the factors.
     """
     la = complex(lambda_a)
     lb = complex(lambda_b)

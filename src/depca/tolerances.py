@@ -23,9 +23,9 @@ class Tolerances:
     triangular_tol: float = 1e-9        # below-diagonal mass allowed in results
     common_eigvec_tol: float = 1e-7     # residual for a common eigenvector
 
-    # propagator invertibility: the floor of the scale-free determinant
-    # s(u) = |det Z(u)| e^{-u Re tr A}, on the grid screen, on C = Z(1) and
-    # on each eigenvalue-pair factor |1 + b u phi1(-a u)|
+    # propagator invertibility: the floor of each eigenvalue-pair factor
+    # |1 + b u phi1(-a u)| and, on the grid screen and on C = Z(1), of the
+    # factors' geometric mean (|det Z(u)| e^{-u Re tr A})^(1/p)
     det_threshold: float = 1e-10
 
     # forcing integrals

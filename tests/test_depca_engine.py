@@ -4,6 +4,7 @@ bounded trajectories, the hyperbolic B = 0 path and the rotational path."""
 import dataclasses
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -296,14 +297,14 @@ class TestPropagatorInvertibility:
         system = DepcaSystem.build(a, b, sig.TrigPolynomial.constant(f))
         report = check_propagator_invertibility(system)
         assert report.passed and not report.analytic_performed
-        # the scale-free |det Z(u)| e^{-u tr A} on the screen's grid
+        # (|det Z(u)| e^{-u tr A})^(1/2) on the screen's grid
         w = np.zeros((4, 4))
         w[:2, :2], w[:2, 2:] = a, np.eye(2)
         scale_free = []
         for u in np.linspace(0.0, 1.0, 201):
             e = scipy.linalg.expm(w * u)
             z = e[:2, :2] + e[:2, 2:] @ b
-            scale_free.append(abs(np.linalg.det(z)) * np.exp(-u * np.trace(a)))
+            scale_free.append(np.sqrt(abs(np.linalg.det(z)) * np.exp(-u * np.trace(a))))
         assert report.min_det == pytest.approx(min(scale_free), rel=1e-12)
         assert "grid check only" in str(report)
 
@@ -315,20 +316,26 @@ class TestPropagatorInvertibility:
         ts = np.linspace(-3.0, 3.0, 49)
         assert np.max(np.abs(traj.evaluate_grid(ts) - x)) <= 1e-10
 
+    @pytest.mark.parametrize("b", [0.0, 1.0])
     @pytest.mark.parametrize("scale", [50.0, -50.0])
-    def test_wide_stiff_pure_a_passes(self, scale):
-        # |det Z(u)| = e^{16 * 50 u} over- or underflows; the scale-free
-        # determinant is 1 for B = 0
+    def test_wide_stiff_a_passes_without_overflow(self, scale, b):
+        # |det Z(u)| = e^{16 * 50 u} over- or underflows for B = 0, where
+        # the scale-free determinant is 1; for A = -50 I, B = I each factor
+        # of |det Z(1)| e^{16 * 50} is about e^46, and their product
+        # passes 1e308
         p = 16
-        system = DepcaSystem.build(scale * np.eye(p), np.zeros((p, p)),
+        system = DepcaSystem.build(scale * np.eye(p), b * np.eye(p),
                                    sig.TrigPolynomial.cosine(np.ones(p), 1.0))
-        report = check_propagator_invertibility(system)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_propagator_invertibility(system)
+            reduce_to_difference(system, 1e-12)
         assert report.passed
         assert report.min_det == pytest.approx(1.0, abs=1e-10)
 
-    def test_grid_is_the_product_of_the_pair_factors(self):
-        # an upper-triangular pair: the grid's scale-free determinant is
-        # prod_i |1 + b_ii u phi1(-a_ii u)|, here taken to 30 digits
+    def test_grid_is_the_geometric_mean_of_the_pair_factors(self):
+        # an upper-triangular pair: the grid's (|det Z(u)| e^{-u tr A})^(1/3)
+        # is (prod_i |1 + b_ii u phi1(-a_ii u)|)^(1/3), here to 30 digits
         a = np.array([[-1.0, 0.5, 0.2], [0.0, 0.8, -0.3], [0.0, 0.0, 2.0]])
         b = np.array([[-0.4, 0.1, 0.4], [0.0, -0.9, 0.2], [0.0, 0.0, 0.5]])
         system = DepcaSystem.build(a, b, sig.TrigPolynomial.constant(np.ones(3)))
@@ -340,10 +347,27 @@ class TestPropagatorInvertibility:
 
         with mp.workdps(30):
             grid = [mp.mpf(k) / 200 for k in range(201)]
-            exact = min(mp.fprod(factor(mp.mpf(a[i, i]), mp.mpf(b[i, i]), u)
-                                 for i in range(3)) for u in grid)
-        assert exact < 0.5  # the minimum is interior, not s(0) = 1
+            exact = min(mp.cbrt(mp.fprod(factor(mp.mpf(a[i, i]), mp.mpf(b[i, i]), u)
+                                         for i in range(3))) for u in grid)
+        assert exact < 0.6  # the minimum is interior, not g(0) = 1
         assert report.min_det == pytest.approx(float(exact), rel=1e-12)
+
+    def test_floor_does_not_compound_with_p(self):
+        # A = 2I, B = -1.86I at p = 16: each pair factor is at least 0.196
+        # and Z(u) = (0.07 e^{2u} + 0.93) I is invertible, though the product
+        # of the factors at u = 1, 0.196^16, is below det_threshold; the
+        # bounded solution of x' = Ax + Bx([t]) + f is the constant -f / 0.14
+        p = 16
+        f = np.linspace(1.0, 2.0, p)
+        system = DepcaSystem.build(2.0 * np.eye(p), -1.86 * np.eye(p),
+                                   sig.TrigPolynomial.constant(f))
+        report = check_propagator_invertibility(system)
+        assert report.passed
+        assert report.min_det == pytest.approx(0.07 + 0.93 * np.exp(-2.0), rel=1e-12)
+        reduce_to_difference(system, 1e-12)
+        traj = solve_bounded_depca(system, -2, 2, 1e-10)
+        ts = np.linspace(-2.0, 2.0, 41)
+        assert np.max(np.abs(traj.evaluate_grid(ts) + f / 0.14)) <= 1e-9
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
@@ -850,16 +874,22 @@ class TestStiffHyperbolicA:
         ts = np.linspace(-2, 2, 161)
         assert np.max(np.abs(traj.evaluate_grid(ts)[:, 0] - exact(ts))) <= 1e-9
 
-    def test_stiff_diagonal_pair_matches_closed_form(self):
-        # x' = A x + v cos t with A = -12 I has the bounded solution
-        # Re((iI - A)^-1 v e^{it}); |det Z| = e^{-24 u} is scaled out
-        a, v = -12.0 * np.eye(2), np.array([1.0, -0.5])
-        system = DepcaSystem.build(a, np.zeros((2, 2)),
+    @pytest.mark.parametrize("diagonal", [
+        [-12.0] * 2,               # |det Z| = e^{-24 u} is scaled out
+        [3.0] * 8 + [-3.0] * 8,    # det Z = 1 at every u, cond Z(1) = e^6
+        [10.0, 10.0, -10.0, -10.0],
+    ])
+    def test_stiff_diagonal_system_matches_closed_form(self, diagonal):
+        # x' = A x + v cos t has the bounded solution Re((iI - A)^-1 v e^{it})
+        a = np.diag(diagonal)
+        p = len(diagonal)
+        v = np.linspace(1.0, -0.5, p)
+        system = DepcaSystem.build(a, np.zeros((p, p)),
                                    sig.TrigPolynomial.cosine(v, 1.0))
         traj = solve_bounded_depca(system, -2, 2, 1e-10)
         ts = np.linspace(-2, 2, 81)
         exact = (np.exp(1j * ts)[:, None]
-                 * np.linalg.solve(1j * np.eye(2) - a, v)).real
+                 * np.linalg.solve(1j * np.eye(p) - a, v)).real
         assert np.max(np.abs(traj.evaluate_grid(ts) - exact)) <= 1e-9
 
     @pytest.mark.parametrize("a", [25.0, 40.0])

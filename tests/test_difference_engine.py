@@ -132,6 +132,13 @@ class TestCertifyConstant:
         with pytest.raises(SingularCoefficientError):
             certify_constant(1e6 * np.ones((2, 2)))
 
+    def test_a_moderate_spread_is_not_singular(self):
+        # cond C = e^6 and det C = 1, though |det C| is far below
+        # eps ||C||^16: the spread of singular values does not compound over p
+        c = np.diag([np.e**3] * 8 + [np.e**-3] * 8)
+        cert = certify_constant(c)
+        np.testing.assert_allclose(cert.projection, np.diag([0.0] * 8 + [1.0] * 8), atol=1e-12)
+
     def test_green_decay_certified(self):
         c = mixed_3x3()
         cert = certify_constant(c)

@@ -283,13 +283,21 @@ class TestSimultaneousTriangularize:
 
     def test_small_user_t_accepted(self):
         # det T = 1e-16 but T = 1e-4 I is perfectly conditioned: singularity
-        # is judged at the scale of T, |det T| <= eps ||T||^p
+        # is judged by the conditioning of T, sigma_min <= p eps sigma_max
         a = np.triu(np.arange(1.0, 17.0).reshape(4, 4))
         b = np.triu(np.ones((4, 4)))
         t, got_a, got_b = simultaneous_triangularize(a, b, user_t=1e-4 * np.eye(4))
         np.testing.assert_array_equal(t, 1e-4 * np.eye(4))
         np.testing.assert_allclose(got_a, a, rtol=1e-14)
         np.testing.assert_allclose(got_b, b, rtol=1e-14)
+
+    def test_well_conditioned_user_t_accepted(self):
+        # cond T = 100 and det T = 1, while |det T| is far below ||T||^16 eps
+        t = np.diag([10.0] * 8 + [0.1] * 8)
+        a = np.triu(np.arange(1.0, 257.0).reshape(16, 16))
+        got_t, got_a, _ = simultaneous_triangularize(a, np.eye(16), user_t=t)
+        np.testing.assert_array_equal(got_t, t)
+        np.testing.assert_allclose(got_a, np.linalg.solve(t, a @ t), rtol=1e-14)
 
     def test_singular_user_t_rejected(self):
         a, b = np.diag([1.0, 2.0]), np.eye(2)

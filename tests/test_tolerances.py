@@ -53,6 +53,7 @@ def test_no_function_takes_a_numeric_option():
 
 def test_every_tolerance_field_is_read():
     # removed fields stay removed: the singularity rules are scale-free
-    # (det_threshold on |det Z(u)| e^{-u Re tr A}, eps ||M||^p otherwise)
+    # (det_threshold per factor of |det Z(u)| e^{-u Re tr A}, numerical rank
+    # otherwise)
     fields = {f.name for f in dataclasses.fields(Tolerances)}
     assert not {"projection_sum", "det_floor", "eigen_condition_tol"} & fields
