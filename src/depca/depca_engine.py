@@ -54,6 +54,7 @@ from .matrix_core import (
     expm,
     expm_integral,
     mat_norm,
+    pair_factor,
     simultaneous_triangularize,
     spectral_split,
     sup_norm,
@@ -118,9 +119,10 @@ def propagator(system: DepcaSystem, t: float, tau: float) -> np.ndarray:
     u = max(u, 0.0)
     key = _u_key(u)
     if key not in system._prop_cache:
-        # integral_block stores e^{Au} too, so the kernel then has it
-        integral = system.integral_block(u)
-        system._prop_cache[key] = system.kernel.exp(u) + integral @ system.b
+        # Z(0) = I exactly; integral_block runs first and stores e^{Au} too,
+        # so the kernel then has it
+        system._prop_cache[key] = (np.eye(system.dimension) if key == 0.0 else
+                                   system.integral_block(u) @ system.b + system.kernel.exp(u))
     return system._prop_cache[key]
 
 
@@ -321,10 +323,11 @@ def log_det_factor(system: DepcaSystem, us: np.ndarray) -> np.ndarray:
 
     s does not carry the e^{u tr A} of det e^{Au}: it is 1 for B = 0 at any
     scale of A, and for a triangular pair it is the product of the pair
-    factors |1 + b_ii u phi1(-a_ii u)|.  g is their geometric mean, so a
-    floor on g, like the pair check's floor on each factor, does not
+    factors |``pair_factor``(a_ii, b_ii, u)|.  g is their geometric mean, so
+    a floor on g, like the pair check's floor on each factor, does not
     compound with p.  One ``slogdet`` of the stacked Z(u) gives it in
-    logarithms, which neither overflow nor underflow.
+    logarithms, which neither overflow nor underflow.  It is the screen's
+    grid for a pair that does not triangularize, and the test of C = Z(1).
     """
     us = np.asarray(us, dtype=float)
     _, logdet = np.linalg.slogdet(np.stack(
@@ -348,29 +351,30 @@ def reduce_to_difference(system: DepcaSystem, quad_tol: float) -> DifferenceSyst
     return DifferenceSystem((c,), lambda n: interval_forcing(system, n, 1.0, quad_tol))
 
 
+SCREEN_POINTS = 201  # the screen's grid u = k / 200
+
+
 @dataclass(frozen=True)
 class ZInvertibilityReport:
-    """The screen's verdict.  ``min_det`` is the grid minimum, at
-    ``argmin_u``, of g(u) = (|det Z(u)| e^{-u Re tr A})^(1/p), the geometric
-    mean of the propagator's scale-free determinant factors (1 for B = 0,
-    and at most g(0) = 1); it passes at or above ``threshold`` when no
-    eigenvalue pair fails."""
+    """The screen's verdict.  ``min_det`` is the minimum over the
+    ``SCREEN_POINTS`` grid, at ``argmin_u``, of g(u) = (|det Z(u)|
+    e^{-u Re tr A})^(1/p), the geometric mean of the propagator's scale-free
+    determinant factors (1 for B = 0, and at most g(0) = 1); it passes at or
+    above ``det_threshold`` when no eigenvalue pair fails."""
 
     min_det: float
     argmin_u: float
-    grid_points: int
     analytic_performed: bool
     analytic_failures: tuple[tuple[int, float], ...]
-    threshold: float
 
     @property
     def passed(self) -> bool:
-        return self.min_det >= self.threshold and not self.analytic_failures
+        return self.min_det >= DEFAULT.det_threshold and not self.analytic_failures
 
     def __str__(self) -> str:
         parts = [f"min (|det Z(u)| e^(-u Re tr A))^(1/p) = {self.min_det:.3e} at u = "
-                 f"{self.argmin_u:.6g} "
-                 f"({self.grid_points} grid points, threshold {self.threshold:.1e})"]
+                 f"{self.argmin_u:.6g} ({SCREEN_POINTS} grid points, "
+                 f"threshold {DEFAULT.det_threshold:.1e})"]
         if self.analytic_performed:
             if self.analytic_failures:
                 for i, u_star in self.analytic_failures:
@@ -387,27 +391,27 @@ class ZInvertibilityReport:
 def check_propagator_invertibility(system: DepcaSystem) -> ZInvertibilityReport:
     """Screen invertibility of Z(t, tau) across a unit interval.
 
-    When A and B triangularize simultaneously, the scalar eigenvalue-pair
-    condition is checked analytically for every diagonal pair; the scan of
-    g(u) of ``log_det_factor`` on 201 equally spaced u in [0, 1] runs in
-    every case as the general fallback.  Both hold one ``det_threshold``:
-    the pair check against each factor, the scan against the factors'
-    geometric mean g, so a triangular pair that passes the pair check
-    passes the scan.
+    When A and B triangularize simultaneously, every diagonal pair is
+    checked analytically, and g(u) on ``SCREEN_POINTS`` equally spaced u in
+    [0, 1] is the geometric mean of the |``pair_factor``|s, with no
+    exponential; otherwise g is ``log_det_factor``.  One ``det_threshold``
+    floors each factor and their geometric mean, so a triangular pair that
+    passes the pair check passes the grid.
     """
+    us = np.linspace(0.0, 1.0, SCREEN_POINTS)
     try:
         _, abar, bbar = simultaneous_triangularize(system.a, system.b)
     except NotTriangularizableError:
         analytic, failures = False, ()
+        log_g = log_det_factor(system, us)
     else:
         analytic, failures = True, eigenvalue_pair_failures(abar, bbar)
-
-    us = np.linspace(0.0, 1.0, 201)
-    log_g = log_det_factor(system, us)
+        with np.errstate(divide="ignore"):  # a zero factor gives log g = -inf
+            log_g = np.log(np.abs(pair_factor(np.diag(abar), np.diag(bbar),
+                                              us[:, None]))).mean(axis=1)
     i_min = int(np.argmin(log_g))
     return ZInvertibilityReport(float(np.exp(log_g[i_min])), float(us[i_min]),
-                                len(us), analytic, failures,
-                                DEFAULT.det_threshold)
+                                analytic, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,8 @@ class CertificateReport:
 
 def verify_certificate(cert: DichotomyCertificate, window: int) -> CertificateReport:
     """Check P idempotency, the invariance MP = PM that the Green function's
-    lift rests on, and the decay inequality on [-window, window]^2."""
+    lift rests on, and the decay inequality on [-window, window]^2, where
+    G(m + q, l + q) = G(m, l) leaves only the pairs with min(m, l) < q - window."""
     if window < 1:
         raise ValueError("window must be at least 1")
     p = cert.projection
@@ -213,8 +214,9 @@ def verify_certificate(cert: DichotomyCertificate, window: int) -> CertificateRe
     worst = math.inf
     worst_pair = (0, 0)
     rng = range(-window, window + 1)
+    first = len(cert.coefficients) - window  # m, l >= first repeats (m - q, l - q)
     for m in rng:
-        for l in rng:
+        for l in (rng if m < first else range(-window, first)):
             bound = cert.K * math.exp(-cert.alpha * abs(m - l))
             margin = bound - mat_norm(green(m, l))
             if margin < worst:

@@ -32,9 +32,9 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if m.shape[0] > MAX_DIMENSION:
         raise ValueError(f"{name} exceeds the supported dimension {MAX_DIMENSION}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
-    if np.iscomplexobj(m) and np.all(m.imag == 0.0):
+    if np.iscomplexobj(m) and not m.imag.any():
         m = m.real
     return m.astype(complex if np.iscomplexobj(m) else float)
 
@@ -254,20 +254,12 @@ def spectral_split(m, mode: str) -> SpectralSplit:
 
 @dataclass(frozen=True)
 class EigenConditionCheck:
-    """Outcome of scanning the scalar invertibility condition on u in [0,1].
-
-    The scanned quantity is (lambda_B / lambda_A)(1 - e^{-u lambda_A}),
-    read as lambda_B * u when lambda_A = 0; a violation means it hits -1,
-    which makes the scalar interval propagator singular at u_star.
-    ``min_modulus`` is the least |1 + expr|, the pair's factor of the
-    scale-free determinant |det Z(u)| e^{-u Re tr A}, whose geometric mean
-    over the p factors the grid screens.
-    """
+    """Outcome of scanning the scalar invertibility condition on u in [0,1]:
+    a violation means the pair factor ``pair_factor`` vanishes, which makes
+    the scalar interval propagator singular at u_star."""
 
     passed: bool
     u_star: float | None
-    min_modulus: float
-    at_u: float
 
 
 def _phi1(z):
@@ -277,34 +269,36 @@ def _phi1(z):
     return np.where(zero, 1.0, np.expm1(z) / np.where(zero, 1.0, z))[()]
 
 
+def pair_factor(a, b, u):
+    """1 + b u phi1(-a u), the factor of the eigenvalue pair (a, b) of a
+    triangular pair in det(I + integral_0^u e^{-Ar} dr B); broadcasts."""
+    return 1.0 + b * u * _phi1(-u * a)
+
+
 def check_eigenvalue_condition(lambda_a: complex, lambda_b: complex
                                ) -> EigenConditionCheck:
-    """Scan u in [0, 1] for the invertibility condition expr(u) != -1.
+    """Scan u in [0, 1] for a zero of ``pair_factor``.
 
-    expr(u) = lambda_B * u * phi1(-u lambda_A) covers both branches of the
-    condition continuously (phi1(0) = 1 gives the lambda_A = 0 case).  The
-    scan locates the minimum of |expr + 1| on a 2049-point grid and refines
-    it by bisecting the derivative of |expr + 1|^2, which pins the
-    violating u* far below 1e-12.  |expr + 1| is the scalar propagator's
-    scale-free determinant, so it fails at or below ``det_threshold``, the
-    floor the grid screen puts on the geometric mean of the factors.
+    phi1(0) = 1 covers the lambda_A = 0 branch continuously.  The scan
+    locates the minimum of |factor| on a 2049-point grid and refines it by
+    bisecting the derivative of |factor|^2, which pins the violating u* far
+    below 1e-12.  |factor| is the scalar propagator's scale-free
+    determinant, so it fails at or below ``det_threshold``, the floor the
+    grid screen puts on the geometric mean of the factors.
     """
     la = complex(lambda_a)
     lb = complex(lambda_b)
-
-    def phi(u):
-        return 1.0 + lb * u * _phi1(-u * la)
 
     def dphi(u: float) -> complex:
         # d/du of lb*u*phi1(-u la) is lb * e^{-u la} for every la
         return lb * np.exp(-u * la)
 
     def slope(u: float) -> float:
-        # derivative of |phi|^2
-        return 2.0 * (np.conj(phi(u)) * dphi(u)).real
+        # derivative of |factor|^2
+        return 2.0 * (np.conj(pair_factor(la, lb, u)) * dphi(u)).real
 
     us = np.linspace(0.0, 1.0, 2049)
-    mods = np.abs(phi(us))
+    mods = np.abs(pair_factor(la, lb, us))
     i = int(np.argmin(mods))
 
     if 0 < i < len(us) - 1:
@@ -319,15 +313,15 @@ def check_eigenvalue_condition(lambda_a: complex, lambda_b: complex
         u_min = 0.5 * (lo + hi)
     else:
         u_min = float(us[i])
-    modulus = float(abs(phi(u_min)))
+    modulus = float(abs(pair_factor(la, lb, u_min)))
     # the boundary u = 1 may host the violation even when an interior grid
     # point came out marginally smaller
-    if abs(phi(1.0)) < modulus:
-        u_min, modulus = 1.0, float(abs(phi(1.0)))
+    if abs(pair_factor(la, lb, 1.0)) < modulus:
+        u_min, modulus = 1.0, float(abs(pair_factor(la, lb, 1.0)))
 
     if modulus <= DEFAULT.det_threshold:
-        return EigenConditionCheck(False, u_min, modulus, u_min)
-    return EigenConditionCheck(True, None, modulus, u_min)
+        return EigenConditionCheck(False, u_min)
+    return EigenConditionCheck(True, None)
 
 
 def eigenvalue_pair_failures(a_upper: np.ndarray, b_upper: np.ndarray

@@ -369,6 +369,46 @@ class TestPropagatorInvertibility:
         ts = np.linspace(-2.0, 2.0, 41)
         assert np.max(np.abs(traj.evaluate_grid(ts) + f / 0.14)) <= 1e-9
 
+    def test_triangular_pair_is_screened_without_an_exponential(self, monkeypatch):
+        # the grid of a triangular pair is read off its pair factors
+        calls = []
+
+        def counted(fn):
+            def counting(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return counting
+
+        monkeypatch.setattr(depca_engine, "expm", counted(depca_engine.expm))
+        monkeypatch.setattr(depca_engine, "expm_integral", counted(depca_engine.expm_integral))
+        rng = np.random.default_rng(8)
+        a = np.triu(rng.uniform(-3.0, 3.0, (8, 8)))
+        b = np.triu(rng.uniform(-0.3, 0.3, (8, 8)))
+        report = check_propagator_invertibility(
+            DepcaSystem.build(a, b, sig.TrigPolynomial.constant(np.ones(8))))
+        assert report.analytic_performed and report.passed
+        assert calls == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
+    def test_pair_factor_grid_matches_the_propagator_grid(self, seed, p):
+        # the exponential-free grid of a triangular pair against the
+        # determinant grid of the stacked Z(u).  b_ii >= -0.9 / phi1(-a_ii)
+        # keeps each factor 1 + b_ii u phi1(-a_ii u) above 0.1 on [0, 1]: a
+        # factor near 0 cancels, and both grids then lose digits to it
+        rng = np.random.default_rng(seed)
+        a = np.triu(rng.uniform(-3.0, 3.0, (p, p)))
+        b = np.triu(rng.uniform(-3.0, 3.0, (p, p)))
+        np.fill_diagonal(b, np.maximum(np.diag(b), 0.9 * np.diag(a) / np.expm1(-np.diag(a))))
+        system = DepcaSystem.build(a, b, sig.TrigPolynomial.constant(np.ones(p)))
+        report = check_propagator_invertibility(system)
+        assert report.analytic_performed
+        us = np.linspace(0.0, 1.0, depca_engine.SCREEN_POINTS)
+        log_g = depca_engine.log_det_factor(system, us)
+        i = int(np.argmin(log_g))
+        assert report.min_det == pytest.approx(math.exp(log_g[i]), rel=1e-12)
+        assert report.argmin_u == us[i]
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
     def test_orthogonal_similarity_keeps_the_minimum(self, seed, p):

@@ -1,5 +1,7 @@
 """Tests for dichotomy certificates, Green functions and the bounded series."""
 
+import functools
+import math
 from typing import Callable
 
 import mpmath as mp
@@ -8,6 +10,7 @@ import pytest
 
 from depca import difference_engine
 from depca.difference_engine import (
+    CertificateReport,
     DichotomyCertificate,
     DifferenceSystem,
     GreenFunction,
@@ -24,6 +27,7 @@ from depca.errors import (
     WindowTooSmallError,
 )
 from depca.matrix_core import as_square_matrix, eigenvalues, mat_norm, sup_norm
+from depca.tolerances import DEFAULT
 
 
 def oracle_direct_sum(c, h: Callable[[int], np.ndarray], n0: int, n1: int,
@@ -175,6 +179,37 @@ class TestVerifyCertificate:
         mats = [np.array([[0.5]]), np.array([[0.25]])]
         cert = DichotomyCertificate(0.5 * np.log(8.0), 2.1, np.array([[1.0]]), mats)
         assert verify_certificate(cert, 15).passed
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_double_loop_over_every_pair(self, seed):
+        # C(k) = I + 0.6 N(0, 1), q = 1, 2, 3, P the stable projector of the
+        # monodromy; alpha and K drawn so that some certificates fail
+        rng = np.random.default_rng(seed)
+        q, p, window = seed % 3 + 1, int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        mats = [np.eye(p) + 0.6 * rng.standard_normal((p, p)) for _ in range(q)]
+        vals, vecs = np.linalg.eig(functools.reduce(np.matmul, mats[::-1]))
+        proj = (vecs @ np.diag(np.abs(vals) < 1.0) @ np.linalg.inv(vecs)).real
+        cert = DichotomyCertificate(rng.uniform(0.01, 1.0), rng.uniform(0.5, 5.0),
+                                    proj, mats)
+
+        # the reference: the decay margin of every pair, in (m, l) order
+        green = cert.green_function()
+        mono = green.monodromy
+        worst, worst_pair = math.inf, (0, 0)
+        for m in range(-window, window + 1):
+            for l in range(-window, window + 1):
+                margin = cert.K * math.exp(-cert.alpha * abs(m - l)) - mat_norm(green(m, l))
+                if margin < worst:
+                    worst, worst_pair = margin, (m, l)
+        invariance = (mat_norm(mono @ proj - proj @ mono)
+                      / (1.0 + mat_norm(mono) * mat_norm(proj)))
+        proj_defect = float(np.max(np.abs(proj @ proj - proj)))
+        failed = ("dichotomy.projection_idempotent" if proj_defect > DEFAULT.projection_idem
+                  else "dichotomy.projection_invariant" if invariance > DEFAULT.projection_idem
+                  else "dichotomy.green_decay" if worst < -1e-12 * cert.K else None)
+        expected = CertificateReport(failed is None, window, worst, worst_pair,
+                                     invariance, proj_defect, failed)
+        assert verify_certificate(cert, window) == expected
 
 
 def shift_deviation(green: GreenFunction, shifts, window: int) -> float:
