@@ -106,8 +106,7 @@ class DepcaSystem:
         """integral_0^u e^{As} ds, cached by u."""
         key = _u_key(u)
         if key not in self._int_cache:
-            self._exp_cache[key], self._int_cache[key] = expm_integral(
-                self.a, np.eye(self.dimension), u)
+            self._exp_cache[key], self._int_cache[key] = expm_integral(self.a, u)
         return self._int_cache[key]
 
 
@@ -348,7 +347,7 @@ def reduce_to_difference(system: DepcaSystem, quad_tol: float) -> DifferenceSyst
     if log_g < math.log(DEFAULT.det_threshold):
         raise SingularCError(math.exp(log_g))
     c = propagator(system, 1.0, 0.0)
-    return DifferenceSystem((c,), lambda n: interval_forcing(system, n, 1.0, quad_tol))
+    return DifferenceSystem((c,), lambda ns: interval_forcing(system, ns, 1.0, quad_tol))
 
 
 SCREEN_POINTS = 201  # the screen's grid u = k / 200
@@ -552,10 +551,10 @@ def stitch_trajectory(system: DepcaSystem, dsys: DifferenceSystem,
     # the left limit at n+1 of the segment on [n, n+1) is exactly
     # Z(n+1, n) x(n) + h(n) = C x(n) + h(n), so the continuity defect at the
     # integers is the recursion residual
-    continuity = recursion_residual(dsys, xs, n0)
+    defects = recursion_residual(dsys, xs, n0)
+    continuity = float(np.max(defects, initial=0.0))
     if continuity > 10.0 * tol:
-        worst = max(range(n0, n0 + len(xs) - 1),
-                    key=lambda n: recursion_residual(dsys, xs[n - n0:n - n0 + 2], n))
+        worst = n0 + int(np.argmax(defects))
         raise ContinuityBreachError(
             f"stitching defect {continuity:.3e} at n = {worst} exceeds {10 * tol:.3e}")
 
@@ -568,7 +567,7 @@ def stitch_trajectory(system: DepcaSystem, dsys: DifferenceSystem,
         residual_tol=residual_tol,
         certificate=certificate,
         sup_samples=traj.sup_samples(),
-        sup_forcing=dsys.sup_h(n0 - 1, traj.n1 + 1),
+        sup_forcing=sup_norm(dsys.h(n0 - 1, traj.n1 + 1)),
     )
     return traj
 

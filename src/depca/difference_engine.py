@@ -4,8 +4,8 @@ Certificates (alpha, K, P) are constructed for constant coefficients and
 verified for periodic ones.  The dichotomy is the pair of contractive steps
 MP and M^-1 Q of the monodromy M held by ``GreenFunction``: for constant C,
 K is the exact supremum of their scaled powers, and the bounded solution is
-one forward and one backward sweep with them, truncated with an explicit
-geometric tail bound.
+one forward and one backward sweep with them over the stacked rows h(n),
+truncated with an explicit geometric tail bound.
 
 Certificates and systems are immutable once built; caches are populated
 lazily and are safe under CPython's sequential test usage.
@@ -29,18 +29,19 @@ POWER_CAP = 10**6  # largest power of a scaled dichotomy step searched
 @dataclass
 class DifferenceSystem:
     """The pair (C(.), h(.)) over the integers, C(n) = coefficients[n mod q]
-    for the q matrices of one period."""
+    for the q matrices of one period, h(n) from ``forcing`` on integer arrays."""
 
     coefficients: tuple[np.ndarray, ...]
-    forcing: Callable[[int], np.ndarray]
+    forcing: Callable[[np.ndarray], np.ndarray]
     _h_cache: dict = field(default_factory=dict, repr=False)
 
     @staticmethod
-    def constant(c, h: Callable[[int], np.ndarray]) -> "DifferenceSystem":
+    def constant(c, h: Callable[[np.ndarray], np.ndarray]) -> "DifferenceSystem":
         return DifferenceSystem.periodic([c], h)
 
     @staticmethod
-    def periodic(coefficients, h: Callable[[int], np.ndarray]) -> "DifferenceSystem":
+    def periodic(coefficients, h: Callable[[np.ndarray], np.ndarray]
+                 ) -> "DifferenceSystem":
         """The system of one period of coefficients; SingularCoefficientError
         for a C(j) that ``is_singular`` at its own scale,
         sigma_min(C(j)) <= p eps sigma_max(C(j))."""
@@ -61,20 +62,17 @@ class DifferenceSystem:
     def constant_coefficient(self) -> np.ndarray | None:
         return self.coefficients[0] if len(self.coefficients) == 1 else None
 
-    def c(self, n: int) -> np.ndarray:
-        return self.coefficients[n % len(self.coefficients)]
-
-    def h(self, n: int) -> np.ndarray:
-        if n not in self._h_cache:
-            v = np.atleast_1d(np.asarray(self.forcing(n), dtype=complex))
-            if v.shape != (self.dimension,):
-                raise ValueError(f"h({n}) has shape {v.shape}")
-            self._h_cache[n] = v
-        return self._h_cache[n]
-
-    def sup_h(self, lo: int, hi: int) -> float:
-        """max |h(k)| over lo <= k < hi, 0 for an empty range."""
-        return sup_norm(np.array([self.h(k) for k in range(lo, hi)]))
+    def h(self, lo: int, hi: int) -> np.ndarray:
+        """The rows h(n), lo <= n < hi, shape (hi - lo, p); one ``forcing``
+        call forms the n that no earlier request formed."""
+        new = np.array([n for n in range(lo, hi) if n not in self._h_cache], dtype=int)
+        if new.size:
+            rows = np.asarray(self.forcing(new), dtype=complex)
+            if rows.shape != (new.size, self.dimension):
+                raise ValueError(f"h of {new.size} n has shape {rows.shape}")
+            self._h_cache.update(zip(new.tolist(), rows))
+        return np.array([self._h_cache[n] for n in range(lo, hi)],
+                        dtype=complex).reshape(-1, self.dimension)
 
 
 @dataclass
@@ -165,7 +163,7 @@ def certify_constant(c) -> DichotomyCertificate:
     = sup_d ||G(d, 0)|| e^{alpha |d|}, times
     ``k_headroom`` for round-off; no factor e^{alpha d} is ever formed.
     """
-    dsys = DifferenceSystem.constant(c, lambda n: np.zeros(dsys.dimension))
+    dsys = DifferenceSystem.constant(c, None)  # checks C; no h is read
     c = dsys.constant_coefficient
     split = spectral_split(c, "discrete")
     alpha = DEFAULT.alpha_safety * min(split.decay_rate_stable,
@@ -284,8 +282,9 @@ def solve_bounded(sys: DifferenceSystem, cert: DichotomyCertificate,
 
     Summed as x = s + u by two sweeps with the dichotomy steps, forward
     s(k+1) = CP s(k) + P h(k) and backward u(k) = C^-1 Q (u(k+1) - h(k)),
-    from R = ``truncation_radius`` steps outside the window, so the discarded
-    tail stays below tol and the recursion residual below 3 tol.
+    over the rows h(k) stacked from R = ``truncation_radius`` steps outside
+    the window, so the discarded tail stays below tol and the recursion
+    residual below 3 tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -295,34 +294,38 @@ def solve_bounded(sys: DifferenceSystem, cert: DichotomyCertificate,
         raise InvalidCertificateError("solve_bounded needs a constant C certificate")
     green = cert.green_function()
 
-    sup_h = sys.sup_h(n0 - 1, n1 + 1)
+    sup_h = sup_norm(sys.h(n0 - 1, n1 + 1))
     if sup_h == 0.0:
         radius_probe = truncation_radius(cert.alpha, cert.K, 1.0, tol)
-        sup_h = sys.sup_h(n0 - 1 - radius_probe, n1 + radius_probe)
+        sup_h = sup_norm(sys.h(n0 - 1 - radius_probe, n1 + radius_probe))
         if sup_h == 0.0:
             return np.zeros((n1 - n0 + 1, sys.dimension), dtype=complex)
 
     radius = widen_radius(
         lambda sup: truncation_radius(cert.alpha, cert.K, sup, tol),
-        lambda r: sys.sup_h(n0 - 1 - r, n1 + r), sup_h)
+        lambda r: sup_norm(sys.h(n0 - 1 - r, n1 + r)), sup_h)
 
+    lo = n0 - 1 - radius
+    hs = sys.h(lo, n1 + radius)  # row k - lo is h(k)
     out = np.zeros((n1 - n0 + 1, sys.dimension), dtype=complex)
     s = u = np.zeros(sys.dimension, dtype=complex)
-    for k in range(n0 - 1 - radius, n1):
-        s = green.stable_step @ s + cert.projection @ sys.h(k)
+    for k in range(lo, n1):
+        s = green.stable_step @ s + cert.projection @ hs[k - lo]
         if k >= n0 - 1:
             out[k + 1 - n0] = s
     for k in range(n1 - 1 + radius, n0 - 1, -1):
-        u = green.unstable_step @ (u - sys.h(k))
+        u = green.unstable_step @ (u - hs[k - lo])
         if k <= n1:
             out[k - n0] += u
     return out
 
 
-def recursion_residual(sys: DifferenceSystem, x: np.ndarray, n0: int) -> float:
-    """max_n ||x(n+1) - C(n) x(n) - h(n)|| over the sampled window."""
-    return max((sup_norm(x[i + 1] - sys.c(n0 + i) @ x[i] - sys.h(n0 + i))
-                for i in range(x.shape[0] - 1)), default=0.0)
+def recursion_residual(sys: DifferenceSystem, x: np.ndarray, n0: int) -> np.ndarray:
+    """||x(n+1) - C(n) x(n) - h(n)|| for each step of the samples x(n0), ..."""
+    ns = np.arange(n0, n0 + len(x) - 1)
+    cs = np.stack(sys.coefficients)[ns % len(sys.coefficients)]
+    return np.max(np.abs(x[1:] - np.einsum("kij,kj->ki", cs, x[:-1])
+                         - sys.h(n0, n0 + len(x) - 1)), axis=1)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ class DepcaError(Exception):
 
 
 class ExpmOverflowError(DepcaError):
-    """Scaling step count for the matrix exponential exceeded the hard cap.
+    """The matrix exponential needs more squarings than the cap, or overflows.
 
     Signals an ill-posed propagation window (||A t|| far too large).
     """

@@ -74,8 +74,8 @@ _THETA13 = 5.371920351148152
 def expm(a, t: float = 1.0) -> np.ndarray:
     """e^{A t} by scaling and squaring with the degree-13 Pade approximant.
 
-    The squaring count is capped; exceeding the cap means the propagation
-    window is ill-posed for this matrix and an ExpmOverflowError is raised.
+    The squaring count is capped and the result must be finite; otherwise the
+    window is ill-posed for this matrix and ExpmOverflowError is raised.
     """
     return _expm(as_square_matrix(a, "A") * t)
 
@@ -107,32 +107,33 @@ def _expm(m: np.ndarray) -> np.ndarray:
     v = (m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2)
          + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * ident)
     f = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        f = f @ f
+    if squarings:  # else ||M||_1 <= THETA13, and e^M is finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(squarings):
+                f = f @ f
+        if not np.isfinite(f).all():
+            raise ExpmOverflowError(f"e^(A t) overflows at ||A t||_1 = {norm1:.3g}")
     return f
 
 
-def expm_integral(a, b, u: float) -> tuple[np.ndarray, np.ndarray]:
-    """Jointly compute (e^{Au}, (integral_0^u e^{As} ds) B).
+def expm_integral(a, u: float) -> tuple[np.ndarray, np.ndarray]:
+    """Jointly compute (e^{Au}, integral_0^u e^{As} ds); a caller that wants
+    the integral times some B multiplies by it.
 
     Both blocks are read off one exponential of the augmented matrix
     [[A, I], [0, 0]] scaled by u, so a singular A needs no special case
     (no resolvent inversion anywhere).
     """
     a = as_square_matrix(a, "A")
-    b = as_square_matrix(b, "B")
-    if a.shape != b.shape:
-        raise ValueError(f"A and B must share a shape, got {a.shape}, {b.shape}")
     if u < 0:
         raise ValueError(f"u must be nonnegative, got {u}")
     p = a.shape[0]
-    dtype = complex if (np.iscomplexobj(a) or np.iscomplexobj(b)) else float
-    w = np.zeros((2 * p, 2 * p), dtype=dtype)
+    w = np.zeros((2 * p, 2 * p), dtype=a.dtype)
     w[:p, :p] = a
     w[:p, p:] = np.eye(p)
     e = _expm(w * u)
     # copies, so a cached block does not keep the whole 2p x 2p array alive
-    return e[:p, :p].astype(dtype), e[:p, p:] @ b
+    return e[:p, :p].copy(), e[:p, p:].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +272,21 @@ def _phi1(z):
 
 def pair_factor(a, b, u):
     """1 + b u phi1(-a u), the factor of the eigenvalue pair (a, b) of a
-    triangular pair in det(I + integral_0^u e^{-Ar} dr B); broadcasts."""
-    return 1.0 + b * u * _phi1(-u * a)
+    triangular pair in det(I + integral_0^u e^{-Ar} dr B), 1 for b = 0; broadcasts."""
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN where phi1 overflows
+        return np.where(b == 0, 1.0, 1.0 + b * u * _phi1(-u * a))[()]
 
 
 def check_eigenvalue_condition(lambda_a: complex, lambda_b: complex
                                ) -> EigenConditionCheck:
     """Scan u in [0, 1] for a zero of ``pair_factor``.
 
-    phi1(0) = 1 covers the lambda_A = 0 branch continuously.  The scan
-    locates the minimum of |factor| on a 2049-point grid and refines it by
-    bisecting the derivative of |factor|^2, which pins the violating u* far
-    below 1e-12.  |factor| is the scalar propagator's scale-free
-    determinant, so it fails at or below ``det_threshold``, the floor the
-    grid screen puts on the geometric mean of the factors.
+    phi1(0) = 1 covers the lambda_A = 0 branch, and the factor is exactly 1
+    for lambda_B = 0.  The scan bisects the derivative of |factor|^2 around
+    the least finite |factor| of a 2049-point grid, pinning u* far below
+    1e-12.  |factor| is the scalar propagator's scale-free determinant: it
+    fails at or below ``det_threshold``, the grid screen's floor on their
+    geometric mean, and at the first NaN of the grid, which hides any zero.
     """
     la = complex(lambda_a)
     lb = complex(lambda_b)
@@ -299,7 +301,7 @@ def check_eigenvalue_condition(lambda_a: complex, lambda_b: complex
 
     us = np.linspace(0.0, 1.0, 2049)
     mods = np.abs(pair_factor(la, lb, us))
-    i = int(np.argmin(mods))
+    i = int(np.nanargmin(mods))
 
     if 0 < i < len(us) - 1:
         lo, hi = us[i - 1], us[i + 1]
@@ -321,6 +323,8 @@ def check_eigenvalue_condition(lambda_a: complex, lambda_b: complex
 
     if modulus <= DEFAULT.det_threshold:
         return EigenConditionCheck(False, u_min)
+    if np.isnan(mods).any():
+        return EigenConditionCheck(False, float(us[np.isnan(mods)][0]))
     return EigenConditionCheck(True, None)
 
 

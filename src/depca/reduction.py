@@ -99,18 +99,17 @@ def solve_by_reduction(system: DepcaSystem, user_t=None, n0: int = 0,
     if n0 >= n1:
         raise ValueError("need n0 < n1")
     cascade = build_cascade(system, user_t)
-    companions = [scalar_companion(*pair) for pair in cascade.diagonal_pairs]
     try:
         traj = _solve_companion(system, n0, n1, tol)
     except NoDichotomyError as exc:
         # the eigenvalues of C are those of T^-1 C T, its c_ii
         lam = exc.__cause__.eigenvalue
-        i = int(np.argmin([abs(c - lam) for c in companions]))
+        i = int(np.argmin([abs(scalar_companion(*pair) - lam)
+                           for pair in cascade.diagonal_pairs]))
         raise NoDichotomyError(f"cascade level {i}: {exc}") from exc
     # row i: y_i(n), n = n0..n1
     levels = np.linalg.solve(cascade.transform, traj.samples.T)
     traj.cascade = CascadeTrace(cascade.transform, tuple(
-        LevelTrace(i, *pair, c, sup_norm(y))
-        for i, (pair, c, y) in enumerate(zip(cascade.diagonal_pairs, companions,
-                                             levels))))
+        LevelTrace(i, *pair, scalar_companion(*pair), sup_norm(y))
+        for i, (pair, y) in enumerate(zip(cascade.diagonal_pairs, levels))))
     return traj

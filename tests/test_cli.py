@@ -60,8 +60,7 @@ def test_solve_reduces_once_and_certifies_the_bound(tmp_path, monkeypatch):
     system = DepcaSystem.build(config.a, config.b, config.forcing_signal())
     dsys = reduce_to_difference(system, min(0.05 * config.tol, 1e-11))
     cert = certify_constant(dsys.constant_coefficient)
-    sup_h = max(float(np.max(np.abs(dsys.h(n))))
-                for n in range(config.n0 - 1, config.n1 + 1))
+    sup_h = float(np.max(np.abs(dsys.h(config.n0 - 1, config.n1 + 1))))
     report = tmp_path / "solve_report.txt"
     assert float(report_value(report, "bound_certified")) == pytest.approx(
         cert.solution_bound(sup_h), rel=1e-12)
@@ -97,8 +96,7 @@ def test_reduce_mode_reports_levels_and_certificate(tmp_path, a, b, extra):
     # the bound certified for C, the companion of the caller's system
     parsed = cli.config_from_dict(config)
     dsys = reduce_to_difference(parsed.system(), quad_tol_for(parsed.tol))
-    sup_h = max(float(np.max(np.abs(dsys.h(n))))
-                for n in range(parsed.n0 - 1, parsed.n1 + 1))
+    sup_h = float(np.max(np.abs(dsys.h(parsed.n0 - 1, parsed.n1 + 1))))
     assert float(report_value(report, "bound_certified")) == pytest.approx(
         certify_constant(dsys.constant_coefficient).solution_bound(sup_h), rel=1e-9)
 
@@ -155,6 +153,17 @@ def test_verify_passes_a_stiff_pure_a_system(tmp_path):
 def test_solve_with_a_singular_propagator_cannot_run(tmp_path, capsys):
     assert run_cli(tmp_path, dict(CONFIG, system=SINGULAR_Z)) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("mode", ["solve", "verify", "reduce", "dichotomy"])
+def test_an_overflowing_companion_fails_typed_in_every_mode(tmp_path, capsys, mode):
+    # C = e^800 is not a float: one error line, no traceback, and no numpy
+    # warning (the test configuration turns one from depca into a failure)
+    config = dict(CONFIG, mode=mode,
+                  system={"dimension": 1, "A": [[800.0]], "B": [[0.0]]},
+                  forcing={"kind": "cos", "coefficient": [1.0], "omega": 1.0})
+    assert run_cli(tmp_path, config) == 1
+    assert capsys.readouterr().err == "error: e^(A t) overflows at ||A t||_1 = 800\n"
 
 
 def test_missing_solve_block_is_a_config_error(tmp_path, capsys):

@@ -640,6 +640,21 @@ class TestOneEvaluationPath:
             traj.diagnostics.residual_max, traj.diagnostics.residual_tol)
         assert len(calls) <= 22
 
+    def test_a_solve_forms_each_h_once_in_a_few_calls(self, monkeypatch):
+        # the Green sum's 127 rows h(n), its supremum and the stitch's checks
+        # take a few calls on integer arrays, not one call per n
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return interval_forcing(*args)
+
+        monkeypatch.setattr(depca_engine, "interval_forcing", counting)
+        solve_bounded_depca(scalar_system(-1.0, 0.5, COS_2PI), -10, 10, 1e-9)
+        ns = np.concatenate([n for _, n, u, _ in calls if u == 1.0])
+        assert len([u for _, _, u, _ in calls if u == 1.0]) <= 6
+        assert ns.size == np.unique(ns).size == 127
+
 
 class TestErrorsSayWhere:
     def test_residual_error_names_the_worst_probe(self, monkeypatch):
@@ -932,14 +947,22 @@ class TestStiffHyperbolicA:
                  * np.linalg.solve(1j * np.eye(p) - a, v)).real
         assert np.max(np.abs(traj.evaluate_grid(ts) - exact)) <= 1e-9
 
-    @pytest.mark.parametrize("a", [25.0, 40.0])
+    @pytest.mark.parametrize("a", [25.0, 40.0, 800.0])
     def test_steep_unstable_a_fails_typed(self, a):
         # the forward segments e^{A u} x(n) lose the bounded solution to
-        # round-off; they wait for backward segments (ROADMAP direction 4,
-        # second bullet), and until then the solve must raise, not return
+        # round-off, and C = e^800 overflows; they wait for backward segments
+        # (ROADMAP direction 4, second bullet), and until then the solve must
+        # raise, not return
         system = scalar_system(a, 0.0, sig.TrigPolynomial.cosine([1.0], 1.0))
         with pytest.raises(DepcaError):
             solve_bounded_depca(system, -2, 2, 1e-10)
+
+    @pytest.mark.parametrize("a", [-800.0, 800.0])
+    def test_pure_a_screens_at_one_without_overflow(self, a):
+        # every pair factor is exactly 1 for B = 0, however stiff A is
+        system = scalar_system(a, 0.0, sig.TrigPolynomial.cosine([1.0], 1.0))
+        screen = check_propagator_invertibility(system)
+        assert screen.min_det == 1.0 and screen.passed
 
 
 class TestRotationSpan:

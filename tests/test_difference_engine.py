@@ -76,7 +76,13 @@ def oracle_direct_sum(c, h: Callable[[int], np.ndarray], n0: int, n1: int,
 
 def const_h(v):
     vec = np.atleast_1d(np.asarray(v, dtype=complex))
-    return lambda n: vec
+    return lambda n: np.broadcast_to(vec, (*np.shape(n), vec.size))
+
+
+def rows(*components):
+    """h(n) from its components, stacked on the last axis: one row for one
+    n, and one row per n for an integer array."""
+    return np.stack(np.broadcast_arrays(*components), axis=-1)
 
 
 def mixed_3x3():
@@ -298,27 +304,54 @@ class TestSolveBounded:
 
     @pytest.mark.parametrize("cmat,hfn", [
         (np.array([[0.5]]), const_h([1.0])),
-        (np.array([[2.0]]), lambda n: np.array([np.cos(0.7 * n)])),
-        (np.diag([0.5, 3.0]), lambda n: np.array([1.0, np.sin(n)])),
-        (mixed_3x3(), lambda n: np.array([np.cos(n), 1.0, (-1.0) ** n])),
+        (np.array([[2.0]]), lambda n: rows(np.cos(0.7 * n))),
+        (np.diag([0.5, 3.0]), lambda n: rows(1.0, np.sin(n))),
+        (mixed_3x3(), lambda n: rows(np.cos(n), 1.0, (-1.0) ** n)),
     ])
     def test_recursion_residual(self, cmat, hfn):
         tol = 1e-10
         sys = DifferenceSystem.constant(cmat, hfn)
         xs = solve_bounded(sys, certify_constant(cmat), -50, 50, tol)
-        assert recursion_residual(sys, xs, -50) <= 3.0 * tol
+        assert np.max(recursion_residual(sys, xs, -50)) <= 3.0 * tol
 
-    def test_sup_h_is_the_max_over_the_range(self):
-        sys = DifferenceSystem.constant(np.diag([0.5, 3.0]),
-                                        lambda n: np.array([np.cos(n), 0.3j * n]))
-        assert sys.sup_h(-7, 5) == max(sup_norm(sys.h(k)) for k in range(-7, 5))
-        assert sys.sup_h(3, 3) == 0.0
+    def test_h_forms_each_n_once(self):
+        calls = []
+
+        def forcing(n):
+            calls.append(n.tolist())
+            return rows(0.25 * n, 1.0 - 0.5j * n)
+
+        sys = DifferenceSystem.constant(np.diag([0.5, 3.0]), forcing)
+        np.testing.assert_array_equal(
+            sys.h(-7, 5), [rows(0.25 * k, 1.0 - 0.5j * k) for k in range(-7, 5)])
+        assert sys.h(3, 3).shape == (0, 2)
+        # overlapping requests form only the n no earlier request formed
+        np.testing.assert_array_equal(sys.h(-9, 7)[2:14], sys.h(-7, 5))
+        assert sys.h(-9, 7).shape == (16, 2)
+        assert calls == [list(range(-7, 5)), [-9, -8, 5, 6]]
+        wrong = DifferenceSystem.constant(np.diag([0.5, 3.0]), lambda n: 0.25 * n)
+        with pytest.raises(ValueError, match="shape"):
+            wrong.h(0, 3)
+
+    def test_periodic_recursion_residual_matches_a_loop(self):
+        mats = [np.array([[0.5, 1.0], [0.0, 2.0]]),
+                np.array([[1.5, 0.0], [0.3, 0.25]])]
+        h = lambda n: rows(np.cos(n), 1j * np.sin(0.5 * n))
+        sys = DifferenceSystem.periodic(mats, h)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
+        n0 = -3
+        loop = [np.max(np.abs(x[i + 1] - mats[(n0 + i) % 2] @ x[i] - h(n0 + i)))
+                for i in range(8)]
+        np.testing.assert_allclose(recursion_residual(sys, x, n0), loop,
+                                   rtol=1e-14, atol=0)
+        assert recursion_residual(sys, x[:1], n0).shape == (0,)
 
     @pytest.mark.parametrize("cval", [0.5, 2.0])
     def test_oracle_equivalence(self, cval):
         tol = 1e-10
         c = np.array([[cval]])
-        h = lambda n: np.array([(-1.0) ** n * 0.8 + 0.1])
+        h = lambda n: rows((-1.0) ** n * 0.8 + 0.1)
         sys = DifferenceSystem.constant(c, h)
         xs = solve_bounded(sys, certify_constant(c), -20, 20, tol)
         oracle = oracle_direct_sum(c, h, -20, 20)
@@ -338,7 +371,7 @@ class TestSolveBounded:
     def test_translation_covariance(self):
         tol = 1e-10
         c = np.array([[0.5]])
-        h = lambda n: np.array([np.cos(0.9 * n) + 0.2])
+        h = lambda n: rows(np.cos(0.9 * n) + 0.2)
         s = 7
         sys = DifferenceSystem.constant(c, h)
         sys_shifted = DifferenceSystem.constant(c, lambda n: h(n + s))
@@ -350,7 +383,7 @@ class TestSolveBounded:
     def test_uniqueness_probe(self):
         tol = 1e-8
         c = mixed_3x3()
-        h = lambda n: np.array([np.cos(n), 1.0, np.sin(2 * n)])
+        h = lambda n: rows(np.cos(n), 1.0, np.sin(2 * n))
         sys = DifferenceSystem.constant(c, h)
         cert = certify_constant(c)
         coarse = solve_bounded(sys, cert, -15, 15, tol)
@@ -361,14 +394,14 @@ class TestSolveBounded:
     def test_overflowing_forcing_fails_typed(self, n1):
         # e^|n| overflows to inf past n = 709: on [0, 800] already, and on
         # [0, 0] at the second radius, as alpha = 0.9 ln(1/0.9) is small
-        sys = DifferenceSystem.constant([[0.9]], lambda n: np.array([np.exp(abs(n))]))
+        sys = DifferenceSystem.constant([[0.9]], lambda n: rows(np.exp(abs(n))))
         with np.errstate(over="ignore"), pytest.raises(WindowTooSmallError):
             solve_bounded(sys, certify_constant([[0.9]]), 0, n1, 1e-10)
 
     def test_growing_forcing_fails_typed(self):
         # with alpha = 0.9 ln 2 each round's radius reaches e^|n| large enough
         # to need about 1.6 times the radius again, so it never settles
-        sys = DifferenceSystem.constant([[0.5]], lambda n: np.array([np.exp(abs(n))]))
+        sys = DifferenceSystem.constant([[0.5]], lambda n: rows(np.exp(abs(n))))
         with pytest.raises(WindowTooSmallError):
             solve_bounded(sys, certify_constant([[0.5]]), 0, 0, 1e-10)
 
@@ -395,7 +428,8 @@ class TestBoundCheck:
         c = mixed_3x3()
         v = np.array([1.0, -0.5, 0.25])
         cert = certify_constant(c)
-        sys = DifferenceSystem.constant(c, lambda n: v * np.cos(0.7 * n))
+        sys = DifferenceSystem.constant(
+            c, lambda n: np.multiply.outer(np.cos(0.7 * n), v))
         xs = solve_bounded(sys, cert, -30, 30, 1e-12)
         with mp.workdps(30):
             cm, vm = mp.matrix(c.tolist()), mp.matrix(v.tolist())
@@ -470,7 +504,8 @@ class TestExactDichotomyConstant:
         monkeypatch.setattr(GreenFunction, "__call__", counting)
         c = mixed_3x3()
         v = np.array([1.0, -0.5, 2.0])
-        sys = DifferenceSystem.constant(c, lambda n: v * np.exp(0.9j * n))
+        sys = DifferenceSystem.constant(
+            c, lambda n: np.multiply.outer(np.exp(0.9j * n), v))
         xs = solve_bounded(sys, certify_constant(c), -200, 200, 1e-10)
         w = np.linalg.solve(np.exp(0.9j) * np.eye(3) - c, v)
         expected = np.array([w * np.exp(0.9j * n) for n in range(-200, 201)])

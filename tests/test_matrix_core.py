@@ -48,8 +48,8 @@ class TestExpm:
         rng = np.random.default_rng(3)
         a, b = rng.standard_normal((2, 4, 4))
         assert np.array_equal(expm(a, 0.0), np.eye(4))
-        e, integ = expm_integral(a, b, 0.0)
-        assert np.array_equal(e, np.eye(4)) and not integ.any()
+        e, integ = expm_integral(a, 0.0)
+        assert np.array_equal(e, np.eye(4)) and not (integ @ b).any()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_scipy(self, seed):
@@ -78,12 +78,12 @@ class TestExpm:
 
 class TestExpmIntegral:
     def test_zero_a(self):
-        e, integ = expm_integral(np.zeros((2, 2)), np.eye(2), 1.0)
+        e, integ = expm_integral(np.zeros((2, 2)), 1.0)
         np.testing.assert_allclose(e, np.eye(2), atol=1e-14)
         np.testing.assert_allclose(integ, np.eye(2), atol=1e-14)
 
     def test_scalar_antiderivative(self):
-        e, integ = expm_integral(np.array([[-1.0]]), np.array([[1.0]]), 1.0)
+        e, integ = expm_integral(np.array([[-1.0]]), 1.0)
         np.testing.assert_allclose(e, [[0.36787944117144233]], atol=1e-12)
         np.testing.assert_allclose(integ, [[0.6321205588285577]], atol=1e-12)
 
@@ -91,13 +91,13 @@ class TestExpmIntegral:
         rng = np.random.default_rng(11)
         a = rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3))
-        e, integ = expm_integral(a, b, 0.0)
+        e, integ = expm_integral(a, 0.0)
         np.testing.assert_allclose(e, np.eye(3), atol=1e-14)
-        np.testing.assert_allclose(integ, np.zeros((3, 3)), atol=1e-14)
+        np.testing.assert_allclose(integ @ b, np.zeros((3, 3)), atol=1e-14)
 
     def test_negative_u_rejected(self):
         with pytest.raises(ValueError):
-            expm_integral(np.eye(2), np.eye(2), -0.5)
+            expm_integral(np.eye(2), -0.5)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_derivative_of_integral_block(self, seed):
@@ -106,9 +106,9 @@ class TestExpmIntegral:
         a = rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3))
         u, h = 0.7, 1e-4
-        _, hi = expm_integral(a, b, u + h)
-        _, lo = expm_integral(a, b, u - h)
-        np.testing.assert_allclose((hi - lo) / (2 * h), expm(a, u) @ b,
+        _, hi = expm_integral(a, u + h)
+        _, lo = expm_integral(a, u - h)
+        np.testing.assert_allclose((hi - lo) @ b / (2 * h), expm(a, u) @ b,
                                    atol=1e-6)
 
 

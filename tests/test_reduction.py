@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from depca import signals as sig
-from depca.depca_engine import DepcaSystem, solve_bounded_depca
-from depca.errors import EigenConditionFailError, NoDichotomyError
+from depca.depca_engine import (
+    DepcaSystem,
+    check_propagator_invertibility,
+    solve_bounded_depca,
+)
+from depca.errors import EigenConditionFailError, NoDichotomyError, ZInvertibilityError
 from depca.matrix_core import simultaneous_triangularize
 from depca.reduction import (
     build_cascade,
@@ -66,6 +70,22 @@ class TestBuildCascade:
         cascade = build_cascade(DepcaSystem.build(A_TRI, B_TRI, forcing_2d()))
         np.testing.assert_allclose(cascade.transform, np.eye(2))
         assert cascade.diagonal_pairs == ((-1 + 0j, -0.5 + 0j), (-2 + 0j, -0.25 + 0j))
+
+    def test_a_zero_before_an_overflowing_factor_is_refused(self):
+        # 1 - (e^{800 u} - 1)/800 vanishes at u* = ln(801)/800; past u = 0.887
+        # phi1 overflows, and the NaN there neither hides u* nor passes
+        system = DepcaSystem.build(np.array([[-800.0]]), np.array([[-1.0]]),
+                                   sig.TrigPolynomial.cosine([1.0], 1.0))
+        u_star = np.log(801.0) / 800.0
+        with pytest.raises(EigenConditionFailError) as err:
+            solve_by_reduction(system, None, -2, 2)
+        assert abs(err.value.u_star - u_star) <= 1e-12
+        screen = check_propagator_invertibility(system)
+        assert not screen.passed
+        [(i, u)] = screen.analytic_failures
+        assert i == 0 and abs(u - u_star) <= 1e-12
+        with pytest.raises(ZInvertibilityError):
+            solve_bounded_depca(system, -2, 2, 1e-9)
 
     def test_eigen_condition_failure_surfaces(self):
         system = DepcaSystem.build(np.array([[0.0]]), np.array([[-1.0]]),
