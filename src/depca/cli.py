@@ -21,6 +21,7 @@ from . import diagnostics as diag
 from . import signals as sig
 from .depca_engine import (
     DepcaSystem,
+    check_propagator_invertibility,
     quad_tol_for,
     reduce_to_difference,
     solve_bounded_depca,
@@ -495,6 +496,15 @@ def run(config: RunConfig, out_dir=".", quiet: bool = False) -> int:
     return exit_code
 
 
+def _screened_reduction(system: DepcaSystem, tol: float) -> DifferenceSystem:
+    """The companion system, reduced after the invertibility screen that
+    ``solve`` runs first; ZInvertibilityError when the screen fails."""
+    screen = check_propagator_invertibility(system)
+    if not screen.passed:
+        raise ZInvertibilityError(screen)
+    return reduce_to_difference(system, quad_tol_for(tol))
+
+
 def _certificate_from_config(config: RunConfig, system: DepcaSystem
                              ) -> DichotomyCertificate:
     """The certificate of the config's certificate block, over its
@@ -504,7 +514,7 @@ def _certificate_from_config(config: RunConfig, system: DepcaSystem
         dsys = DifferenceSystem.periodic(  # checks each C(j); no h is read
             [np.array(c) for c in block["coefficients"]], None)
     else:
-        dsys = reduce_to_difference(system, quad_tol_for(config.tol))
+        dsys = _screened_reduction(system, config.tol)
     return DichotomyCertificate(block["alpha"], block["K"], np.array(block["P"]),
                                 dsys.coefficients)
 
@@ -547,7 +557,7 @@ def _run_dichotomy(config: RunConfig, report: Report) -> int:
         cert = _certificate_from_config(config, system)
         window = config.certificate["window"]
     else:
-        dsys = reduce_to_difference(system, quad_tol_for(config.tol))
+        dsys = _screened_reduction(system, config.tol)
         cert = certify_constant(dsys.constant_coefficient)
         window = CERTIFICATE_WINDOW
     cert_report = verify_certificate(cert, window)

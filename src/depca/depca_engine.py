@@ -13,7 +13,8 @@ accumulated on [n, n+u] for every solve, the rotational one included; the
 Schur blocks of a hyperbolic A give the two half-lines of Massera's formula.
 
 A trajectory is data (system, samples, quadrature tolerance); its one
-evaluator takes each group of points t = n + u with one u in one array step.
+evaluator takes a grid of points t = n + u in array steps, with the blocks
+of every u its caches miss from one stacked exponential.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .errors import (
     ZInvertibilityError,
 )
 from .matrix_core import (
+    _expm,
     as_square_matrix,
     eigenvalue_pair_failures,
     eigenvalues,
@@ -65,6 +67,32 @@ def _u_key(u: float) -> float:
     return round(u, 12)
 
 
+def _stacked(cache: dict, keys: list, us: list, make, p: int) -> np.ndarray:
+    """The (N, p, p) stack of the blocks cached under the N ``keys`` of
+    ``us``; ``make(keys, us)`` forms those of the first u of each missing
+    key in one call (None when none is missing)."""
+    if len(keys) == 1:  # no copy
+        if keys[0] not in cache:
+            cache[keys[0]] = make(keys, us)[0]
+        return cache[keys[0]][None]
+    fresh = {k: u for k, u in zip(keys[::-1], us[::-1]) if k not in cache}  # first u wins
+    if fresh:
+        cache.update(zip(fresh, make(list(fresh), list(fresh.values()))))
+    return np.array([cache[k] for k in keys]).reshape(-1, p, p)
+
+
+def _by_key(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(firsts, group): row i of ``us`` has the cache key of firsts[group[i]],
+    the u of the first row with that key."""
+    if us.size <= 1:
+        return us, np.zeros(us.size, dtype=int)
+    distinct = np.unique(us)
+    ids: dict[float, int] = {}
+    group = np.array([ids.setdefault(_u_key(u), len(ids)) for u in distinct.tolist()],
+                     dtype=int)[np.searchsorted(distinct, us)]
+    return us[np.unique(group, return_index=True)[1]], group
+
+
 @dataclass
 class DepcaSystem:
     """The triple (A, B, f) with dimension p."""
@@ -79,6 +107,11 @@ class DepcaSystem:
     _trig_kernel_cache: dict = field(default_factory=dict, repr=False)
     _resolvent_cache: dict = field(default_factory=dict, repr=False)
     _eigs: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        # u = 0 to the caches' resolution: Z(0) = e^{A 0} = I and W(0) = 0, exactly
+        self._prop_cache[0.0] = self._exp_cache[0.0] = np.eye(self.dimension)
+        self._int_cache[0.0] = np.zeros((self.dimension, self.dimension))
 
     @staticmethod
     def build(a, b, forcing: sig.Signal) -> "DepcaSystem":
@@ -99,30 +132,46 @@ class DepcaSystem:
 
     @functools.cached_property
     def kernel(self) -> "Kernel":
-        """The kernel of A; it reads the e^{Au} that ``integral_block`` forms."""
+        """The kernel of A; it reads the e^{Au} that ``_exps`` forms."""
         return Kernel(self.a, self._exp_cache)
 
-    def integral_block(self, u: float) -> np.ndarray:
-        """integral_0^u e^{As} ds, cached by u."""
-        key = _u_key(u)
-        if key not in self._int_cache:
-            self._exp_cache[key], self._int_cache[key] = expm_integral(self.a, u)
-        return self._int_cache[key]
+    def _exps(self, keys: list, us: list) -> np.ndarray:
+        """The stack of e^{Au} over ``us``, cached under ``keys``; one
+        ``expm_integral`` call forms the u missing and caches their
+        integral blocks too."""
+        def make(keys, us):
+            exps, ints = expm_integral(self.a, us)
+            self._int_cache.update(zip(keys, ints))
+            return exps
+
+        return _stacked(self._exp_cache, keys, us, make, self.dimension)
+
+    def integral_block(self, u) -> np.ndarray:
+        """integral_0^u e^{As} ds, cached by u; the (N, p, p) stack of them
+        for an array of N values of u."""
+        us = np.atleast_1d(u).tolist()
+        keys = [_u_key(x) for x in us]
+        self._exps(keys, us)
+        ints = _stacked(self._int_cache, keys, us, None, self.dimension)
+        return ints if np.ndim(u) else ints[0]
 
 
-def propagator(system: DepcaSystem, t: float, tau: float) -> np.ndarray:
-    """Z(t, tau) = e^{A(t-tau)} + (integral_0^{t-tau} e^{As} ds) B."""
-    u = t - tau
-    if u < -1e-12:
+def propagator(system: DepcaSystem, t, tau: float) -> np.ndarray:
+    """Z(t, tau) = e^{A(t-tau)} + (integral_0^{t-tau} e^{As} ds) B, cached by
+    u = t - tau; the (N, p, p) stack of them for an array of N values of t,
+    with the u missing formed in one stacked call."""
+    us = (np.ravel(t) - tau).tolist()
+    if min(us, default=0.0) < -1e-12:
         raise ValueError("propagator needs t >= tau")
-    u = max(u, 0.0)
-    key = _u_key(u)
-    if key not in system._prop_cache:
-        # Z(0) = I exactly; integral_block runs first and stores e^{Au} too,
-        # so the kernel then has it
-        system._prop_cache[key] = (np.eye(system.dimension) if key == 0.0 else
-                                   system.integral_block(u) @ system.b + system.kernel.exp(u))
-    return system._prop_cache[key]
+    us = [max(u, 0.0) for u in us]
+    p = system.dimension
+
+    def make(keys, us):
+        exps = system._exps(keys, us)
+        return _stacked(system._int_cache, keys, us, None, p) @ system.b + exps
+
+    z = _stacked(system._prop_cache, [_u_key(u) for u in us], us, make, p)
+    return z if np.ndim(t) else z[0]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +192,7 @@ class Kernel:
     ``known`` maps rounded tau to e^{M tau} formed elsewhere (read only)."""
 
     def __init__(self, matrix: np.ndarray, known: dict | None = None):
-        self.matrix = matrix
+        self.matrix = as_square_matrix(matrix, "M")
         self._known = {} if known is None else known
         self._cache: OrderedDict = OrderedDict()
 
@@ -167,10 +216,10 @@ class Kernel:
 
     def stack(self, width: float) -> np.ndarray:
         """w_k e^{M width u_k} for the 10 Gauss-Legendre nodes at the
-        fractions u_k of a panel of this width."""
+        fractions u_k of a panel of this width, from one stacked exponential."""
         key = _u_key(width)
-        return self._cached(("gl10", key), lambda: np.stack(
-            [w * expm(self.matrix, key * u) for u, w in zip(_GL_UNIT, GL_WEIGHTS)]))
+        return self._cached(("gl10", key), lambda: GL_WEIGHTS[:, None, None] * _expm(
+            self.matrix * (key * _GL_UNIT)[:, None, None]))
 
 
 def adaptive_gl(kernel: Kernel, g: Callable[[float, float], np.ndarray],
@@ -246,60 +295,69 @@ def kernel_integral(kernel: Kernel, signal: sig.Signal, t: float, length: float,
 # accumulated forcing
 
 
-def _trig_kernel(system: DepcaSystem, u: float, omega: float) -> np.ndarray | None:
-    """(i w I - A)^-1 (e^{i w u} I - e^{A u}), or None within the resonance
-    margin of spec(A) where the resolvent is unreliable."""
-    key = (_u_key(u), omega)
-    cache = system._trig_kernel_cache
-    if key in cache:
-        return cache[key]
+def _trig_kernel(system: DepcaSystem, us: list, omega: float) -> np.ndarray | None:
+    """The (N, p, p) stack of (i w I - A)^-1 (e^{i w u} I - e^{A u}) over the
+    N values ``us``, cached by u, with the u missing formed in one stacked
+    call; None within the resonance margin of spec(A) where the resolvent
+    is unreliable."""
+    p = system.dimension
     if omega not in system._resolvent_cache:
         gap = float(np.min(np.abs(1j * omega - system.a_eigenvalues())))
         if gap < DEFAULT.resonance_margin:
             system._resolvent_cache[omega] = None
         else:
-            p = system.dimension
             system._resolvent_cache[omega] = np.linalg.solve(
                 1j * omega * np.eye(p) - system.a, np.eye(p, dtype=complex))
+            system._trig_kernel_cache[(0.0, omega)] = np.zeros((p, p), dtype=complex)
     resolvent = system._resolvent_cache[omega]
     if resolvent is None:
-        cache[key] = None
         return None
-    p = system.dimension
-    kernel = resolvent @ (np.exp(1j * omega * u) * np.eye(p) - system.kernel.exp(u))
-    cache[key] = kernel
-    return kernel
+
+    def make(keys, us):
+        exps = system._exps([key for key, _ in keys], us)
+        return resolvent @ (np.exp(1j * omega * np.array(us))[:, None, None] * np.eye(p) - exps)
+
+    return _stacked(system._trig_kernel_cache, [(_u_key(u), omega) for u in us], us, make, p)
 
 
-def interval_forcing(system: DepcaSystem, n, u: float, quad_tol: float
-                     ) -> np.ndarray:
+def interval_forcing(system: DepcaSystem, n, u, quad_tol: float) -> np.ndarray:
     """integral_n^{n+u} e^{A(n+u-s)} f(s) ds for 0 <= u <= 1; one row per n
-    for an integer array n.
+    for an integer array n, with u one value or one per row (rows whose u
+    share a cache key take the first such u).
 
-    Trigonometric terms use the resolvent closed form e^{i w n} K_w(u) c
-    away from resonance, for all n at once; per n, signals constant on
-    [n, n+1) integrate through the exponential-integral block, and
-    everything else (and near-resonant terms) is the kernel integral of
-    e^{A sigma} f(n + u - sigma) over [0, u].
+    Away from resonance a trigonometric term is e^{i w n} (K_w(u) c) from
+    one stack of K_w over the distinct u, and a signal constant on [n, n+1)
+    is W(u) times the constant from one stack of integral blocks W; both
+    are exactly 0 at u = 0.  Everything else (and near-resonant terms) is
+    the kernel integral of e^{A sigma} f(n + u - sigma) over [0, u], row by
+    row.
     """
     ns = np.atleast_1d(n)
+    firsts, group = _by_key(u + np.zeros(ns.shape))
     out = np.zeros((ns.size, system.dimension), dtype=complex)
     f = system.forcing
     terms = f.trig_terms()
-    if u > 0.0 and terms is not None and any(omega != 0.0 for _, omega in terms):
+    if terms is not None and any(omega != 0.0 for _, omega in terms):
         for coef, omega in terms:
-            kernel = _trig_kernel(system, u, omega)
+            kernel = _trig_kernel(system, firsts.tolist(), omega)
             if kernel is not None:
-                out += np.exp(1j * omega * ns)[:, None] * (kernel @ coef)
+                part = (kernel @ coef)[group]
+                part *= np.exp(1j * omega * ns)[:, None]
+                out += part
                 continue
             term = sig.TrigPolynomial(((coef, omega),), system.dimension)
-            for i, k in enumerate(ns.tolist()):
-                out[i] += kernel_integral(system.kernel, term, k + u, u, quad_tol)
-    elif u > 0.0:
-        for i, k in enumerate(ns.tolist()):
-            const = f.constant_on_unit_interval(k)
-            out[i] = (system.integral_block(u) @ const if const is not None
-                      else kernel_integral(system.kernel, f, k + u, u, quad_tol))
+            for i, (k, x) in enumerate(zip(ns.tolist(), firsts[group].tolist())):
+                if x > 0.0:
+                    out[i] += kernel_integral(system.kernel, term, k + x, x, quad_tol)
+    else:
+        consts = [f.constant_on_unit_interval(k) for k in ns.tolist()]
+        step = [i for i, c in enumerate(consts) if c is not None]
+        if step:
+            out[step] = np.einsum("kij,kj->ki", system.integral_block(firsts)[group[step]],
+                                  np.array([consts[i] for i in step]))
+        for i, (k, x, const) in enumerate(zip(ns.tolist(), firsts[group].tolist(), consts)):
+            if const is None and x > 0.0:
+                out[i] = kernel_integral(system.kernel, f, k + x, x, quad_tol)
     return out if np.ndim(n) else out[0]
 
 
@@ -329,8 +387,7 @@ def log_det_factor(system: DepcaSystem, us: np.ndarray) -> np.ndarray:
     grid for a pair that does not triangularize, and the test of C = Z(1).
     """
     us = np.asarray(us, dtype=float)
-    _, logdet = np.linalg.slogdet(np.stack(
-        [propagator(system, u, 0.0) for u in us.tolist()]))
+    _, logdet = np.linalg.slogdet(propagator(system, us, 0.0))
     return (logdet - us * np.trace(system.a).real) / system.dimension
 
 
@@ -355,7 +412,7 @@ SCREEN_POINTS = 201  # the screen's grid u = k / 200
 
 @dataclass(frozen=True)
 class ZInvertibilityReport:
-    """The screen's verdict.  ``min_det`` is the minimum over the
+    """The screen's verdict.  ``min_det`` is the least finite value on the
     ``SCREEN_POINTS`` grid, at ``argmin_u``, of g(u) = (|det Z(u)|
     e^{-u Re tr A})^(1/p), the geometric mean of the propagator's scale-free
     determinant factors (1 for B = 0, and at most g(0) = 1); it passes at or
@@ -365,6 +422,7 @@ class ZInvertibilityReport:
     argmin_u: float
     analytic_performed: bool
     analytic_failures: tuple[tuple[int, float], ...]
+    overflows: tuple[int, ...] = ()  # the failed pairs whose factor overflows
 
     @property
     def passed(self) -> bool:
@@ -378,8 +436,9 @@ class ZInvertibilityReport:
             if self.analytic_failures:
                 for i, u_star in self.analytic_failures:
                     parts.append(
-                        f"eigenvalue invertibility condition violated for pair "
-                        f"{i} at u* = {u_star:.12g}")
+                        f"eigenvalue invertibility condition fails for pair {i}: " +
+                        (f"factor not finite from u = {u_star:.12g}" if i in self.overflows
+                         else f"the pair hits -1 at u* = {u_star:.12g}"))
             else:
                 parts.append("eigenvalue condition holds for every pair")
         else:
@@ -408,9 +467,11 @@ def check_propagator_invertibility(system: DepcaSystem) -> ZInvertibilityReport:
         with np.errstate(divide="ignore"):  # a zero factor gives log g = -inf
             log_g = np.log(np.abs(pair_factor(np.diag(abar), np.diag(bbar),
                                               us[:, None]))).mean(axis=1)
-    i_min = int(np.argmin(log_g))
-    return ZInvertibilityReport(float(np.exp(log_g[i_min])), float(us[i_min]),
-                                analytic, failures)
+    # NaN where a factor overflows, which the pair check refuses
+    i_min = int(np.nanargmin(log_g))
+    return ZInvertibilityReport(float(np.exp(log_g[i_min])), float(us[i_min]), analytic,
+                                tuple((i, u) for i, u, _ in failures),
+                                tuple(i for i, _, overflow in failures if overflow))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +497,8 @@ class HybridTrajectory:
 
     ``evaluate_grid`` is exact propagation within [n, n+1): Z(u) x(n) +
     H_n(u), u = t - n, with H_n from ``interval_forcing`` at ``quad_tol``,
-    for every solver; ``evaluate`` is that path on one point.
+    for every solver; ``evaluate`` is that path on one point.  A block formed
+    in a grid's stack has the bits it has when formed for its u alone.
     """
 
     system: DepcaSystem
@@ -462,8 +524,10 @@ class HybridTrajectory:
         return self.evaluate_grid([t])[0]
 
     def evaluate_grid(self, ts) -> np.ndarray:
-        """x(t) for t in ``ts``: the rows whose u share a cache key take one
-        Z(u) and one ``interval_forcing`` call, at the u of the first row."""
+        """x(t) for t in ``ts``: rows whose u share a cache key take the u of
+        the first of them in grid order.  One ``propagator`` call gives the
+        stack of Z over those u, and one ``interval_forcing`` call H for
+        every row."""
         ts = np.asarray(ts, dtype=float)
         outside = ~((ts >= self.n0 - 1e-9) & (ts <= self.n1 + 1e-9))
         if outside.any():
@@ -472,21 +536,12 @@ class HybridTrajectory:
         ts = np.minimum(np.maximum(ts, self.n0), self.n1)
         ns = np.floor(ts).astype(int)
         us = ts - ns
-        # number the keys of the distinct u, then list each key's rows in grid order
-        distinct = np.unique(us)
-        ids: dict[float, int] = {}
-        group = np.array([ids.setdefault(_u_key(u), len(ids)) for u in distinct.tolist()],
-                         dtype=int)[np.searchsorted(distinct, us)]
-        order = np.argsort(group, kind="stable")
-        bounds = np.cumsum([0, *np.bincount(group)])
-        out = np.empty((ts.size, self.dimension), dtype=complex)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            rows = order[lo:hi]
-            u, n = float(us[rows[0]]), ns[rows]
-            # einsum, not @: a long stack through @ wakes threaded BLAS
-            out[rows] = (np.einsum("ij,kj->ki", propagator(self.system, u, 0.0),
-                                   self.samples[n - self.n0])
-                         + interval_forcing(self.system, n, u, self.quad_tol))
+        firsts, group = _by_key(us)
+        z = propagator(self.system, firsts, 0.0)
+        out = interval_forcing(self.system, ns, firsts[group], self.quad_tol)
+        x = self.samples[ns - self.n0]
+        for j in range(self.dimension):  # + Z(u) x(n), gathering no (rows, p, p) stack
+            out += z[group, :, j] * x[:, j, None]
         return out
 
     def sup_samples(self) -> float:

@@ -33,7 +33,8 @@ class DifferenceSystem:
 
     coefficients: tuple[np.ndarray, ...]
     forcing: Callable[[np.ndarray], np.ndarray]
-    _h_cache: dict = field(default_factory=dict, repr=False)
+    _h_rows: np.ndarray | None = field(default=None, repr=False)  # h(_h_first), ...
+    _h_first: int = field(default=0, repr=False)
 
     @staticmethod
     def constant(c, h: Callable[[np.ndarray], np.ndarray]) -> "DifferenceSystem":
@@ -63,16 +64,21 @@ class DifferenceSystem:
         return self.coefficients[0] if len(self.coefficients) == 1 else None
 
     def h(self, lo: int, hi: int) -> np.ndarray:
-        """The rows h(n), lo <= n < hi, shape (hi - lo, p); one ``forcing``
-        call forms the n that no earlier request formed."""
-        new = np.array([n for n in range(lo, hi) if n not in self._h_cache], dtype=int)
+        """The rows h(n), lo <= n < hi, shape (hi - lo, p), as a read-only
+        slice of one array over the span of n formed so far; one ``forcing``
+        call widens that span at both ends to cover the request."""
+        if self._h_rows is None:
+            self._h_rows, self._h_first = np.zeros((0, self.dimension), dtype=complex), lo
+        first, below = self._h_first, max(self._h_first - lo, 0)
+        new = np.concatenate([np.arange(lo, first), np.arange(first + len(self._h_rows), hi)])
         if new.size:
             rows = np.asarray(self.forcing(new), dtype=complex)
             if rows.shape != (new.size, self.dimension):
                 raise ValueError(f"h of {new.size} n has shape {rows.shape}")
-            self._h_cache.update(zip(new.tolist(), rows))
-        return np.array([self._h_cache[n] for n in range(lo, hi)],
-                        dtype=complex).reshape(-1, self.dimension)
+            self._h_rows = np.concatenate([rows[:below], self._h_rows, rows[below:]])
+            self._h_rows.flags.writeable = False
+            self._h_first = first = min(lo, first)
+        return self._h_rows[lo - first:hi - first]
 
 
 @dataclass

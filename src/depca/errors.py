@@ -70,14 +70,17 @@ class ZInvertibilityError(DepcaError):
 
 
 class EigenConditionFailError(DepcaError):
-    """An eigenvalue pair violates the propagator invertibility condition."""
+    """An eigenvalue pair violates the propagator invertibility condition,
+    or, with ``overflow``, its factor is not finite from ``u_star`` on."""
 
-    def __init__(self, index: int, u_star: float):
+    def __init__(self, index: int, u_star: float, overflow: bool = False):
         self.index = index
         self.u_star = u_star
+        self.overflow = overflow
         super().__init__(
-            f"eigenvalue invertibility condition violated at cascade level "
-            f"{index}: the pair hits -1 at u* = {u_star:.12g}"
+            f"eigenvalue invertibility condition fails at cascade level {index}: "
+            + (f"the pair factor is not finite from u = {u_star:.12g}" if overflow
+               else f"the pair hits -1 at u* = {u_star:.12g}")
         )
 
 

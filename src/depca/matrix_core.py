@@ -81,23 +81,23 @@ def expm(a, t: float = 1.0) -> np.ndarray:
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
-    """Pade-13 kernel of ``expm`` on an already validated square array;
-    exactly I for the zero matrix, so Z(0) = I to the bit."""
-    p = m.shape[0]
-    if not m.any():
-        return np.eye(p, dtype=m.dtype)
-    norm1 = float(np.linalg.norm(m, 1)) if p else 0.0
-    squarings = 0
-    if norm1 > _THETA13:
-        squarings = int(np.ceil(np.log2(norm1 / _THETA13)))
-        if squarings > DEFAULT.max_squarings:
+    """Pade-13 kernel of ``expm`` on an already validated square array or a
+    (N, q, q) stack of them, each with its own squaring count, so a slice
+    comes out bit-equal to the kernel on that matrix alone; exactly I for a
+    zero matrix, so Z(0) = I to the bit."""
+    ident = np.eye(m.shape[-1], dtype=m.dtype)
+    norm1 = np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0)  # each matrix's 1-norm
+    most = 0.0
+    if norm1.max(initial=0.0) > _THETA13:  # else every e^M is finite unsquared
+        squarings = np.ceil(np.log2(np.maximum(norm1, _THETA13) / _THETA13))
+        most = squarings.max()
+        if most > DEFAULT.max_squarings:
             raise ExpmOverflowError(
-                f"||A t||_1 = {norm1:.3g} needs {squarings} squarings "
+                f"||A t||_1 = {norm1.max():.3g} needs {most:.0f} squarings "
                 f"(cap {DEFAULT.max_squarings}): ill-posed window"
             )
-        m = m / (2.0 ** squarings)
+        m = m / (2.0 ** squarings)[..., None, None]
 
-    ident = np.eye(p, dtype=m.dtype)
     b = _PADE13
     m2 = m @ m
     m4 = m2 @ m2
@@ -107,33 +107,38 @@ def _expm(m: np.ndarray) -> np.ndarray:
     v = (m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2)
          + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * ident)
     f = np.linalg.solve(v - u, v + u)
-    if squarings:  # else ||M||_1 <= THETA13, and e^M is finite
+    if most:
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(squarings):
-                f = f @ f
+            least = squarings.min()
+            for k in range(int(most)):
+                f = f @ f if k < least else np.where((squarings > k)[..., None, None], f @ f, f)
         if not np.isfinite(f).all():
-            raise ExpmOverflowError(f"e^(A t) overflows at ||A t||_1 = {norm1:.3g}")
+            raise ExpmOverflowError(f"e^(A t) overflows at ||A t||_1 = {norm1.max():.3g}")
+    if not norm1.all():  # Pade's solve is not exact at M = 0
+        f[norm1 == 0.0] = ident
     return f
 
 
-def expm_integral(a, u: float) -> tuple[np.ndarray, np.ndarray]:
-    """Jointly compute (e^{Au}, integral_0^u e^{As} ds); a caller that wants
-    the integral times some B multiplies by it.
+def expm_integral(a, u) -> tuple[np.ndarray, np.ndarray]:
+    """Jointly compute (e^{Au}, integral_0^u e^{As} ds), or their two
+    (N, p, p) stacks for an array of N values of u; a caller that wants the
+    integral times some B multiplies by it.
 
     Both blocks are read off one exponential of the augmented matrix
     [[A, I], [0, 0]] scaled by u, so a singular A needs no special case
     (no resolvent inversion anywhere).
     """
     a = as_square_matrix(a, "A")
-    if u < 0:
-        raise ValueError(f"u must be nonnegative, got {u}")
+    u = np.asarray(u, dtype=float)
+    if (u < 0).any():
+        raise ValueError(f"u must be nonnegative, got {u.min()}")
     p = a.shape[0]
     w = np.zeros((2 * p, 2 * p), dtype=a.dtype)
     w[:p, :p] = a
     w[:p, p:] = np.eye(p)
-    e = _expm(w * u)
-    # copies, so a cached block does not keep the whole 2p x 2p array alive
-    return e[:p, :p].copy(), e[:p, p:].copy()
+    e = _expm(w * u[..., None, None])
+    # copies, so a cached block does not keep the 2p x 2p stack alive
+    return e[..., :p, :p].copy(), e[..., :p, p:].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +262,12 @@ def spectral_split(m, mode: str) -> SpectralSplit:
 class EigenConditionCheck:
     """Outcome of scanning the scalar invertibility condition on u in [0,1]:
     a violation means the pair factor ``pair_factor`` vanishes, which makes
-    the scalar interval propagator singular at u_star."""
+    the scalar interval propagator singular at u_star, or, with
+    ``overflow``, that the factor is not finite from u_star on."""
 
     passed: bool
     u_star: float | None
+    overflow: bool = False
 
 
 def _phi1(z):
@@ -324,19 +331,19 @@ def check_eigenvalue_condition(lambda_a: complex, lambda_b: complex
     if modulus <= DEFAULT.det_threshold:
         return EigenConditionCheck(False, u_min)
     if np.isnan(mods).any():
-        return EigenConditionCheck(False, float(us[np.isnan(mods)][0]))
+        return EigenConditionCheck(False, float(us[np.isnan(mods)][0]), overflow=True)
     return EigenConditionCheck(True, None)
 
 
 def eigenvalue_pair_failures(a_upper: np.ndarray, b_upper: np.ndarray
-                             ) -> tuple[tuple[int, float], ...]:
-    """(i, u*) for every diagonal pair (a_ii, b_ii) of a triangular pair that
-    violates the invertibility condition, in increasing i."""
+                             ) -> tuple[tuple[int, float, bool], ...]:
+    """(i, u*, overflow) for every diagonal pair (a_ii, b_ii) of a triangular
+    pair that fails the invertibility condition, in increasing i."""
     failures = []
     for i in range(a_upper.shape[0]):
         check = check_eigenvalue_condition(a_upper[i, i], b_upper[i, i])
         if not check.passed:
-            failures.append((i, float(check.u_star)))
+            failures.append((i, float(check.u_star), check.overflow))
     return tuple(failures)
 
 

@@ -166,6 +166,34 @@ def test_an_overflowing_companion_fails_typed_in_every_mode(tmp_path, capsys, mo
     assert capsys.readouterr().err == "error: e^(A t) overflows at ||A t||_1 = 800\n"
 
 
+STIFF_PAIR = {"system": {"dimension": 1, "A": [[-800.0]], "B": [[-1.0]]},
+              "forcing": {"kind": "cos", "coefficient": [1.0], "omega": 1.0},
+              "solve": {"n0": -2, "n1": 2, "tol": 1e-9, "dt": 0.25}}
+
+
+@pytest.mark.parametrize("mode", ["solve", "dichotomy"])
+def test_a_singular_propagator_stops_the_reduction_in_every_mode(tmp_path, capsys, mode):
+    # Z(u) is singular at u* = ln(801)/800: dichotomy screens before it
+    # reduces, as solve does, and the grid minimum stays finite although
+    # the pair factor overflows past u = 0.887
+    assert run_cli(tmp_path, dict(STIFF_PAIR, mode=mode)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: min (|det Z(u)| e^(-u Re tr A))^(1/p) = 9.330e-01")
+    assert f"the pair hits -1 at u* = {np.log(801.0) / 800.0:.9f}" in err
+
+
+def test_verify_words_an_overflowing_factor_as_not_finite(tmp_path):
+    # 1 + u phi1(800 u) / 2 never vanishes; past u = 0.887 it is not finite
+    config = dict(STIFF_PAIR, mode="verify",
+                  system={"dimension": 1, "A": [[-800.0]], "B": [[0.5]]})
+    assert run_cli(tmp_path, config) == 2
+    report = tmp_path / "verify_report.txt"
+    assert report_value(report, "failed_invariant") == "propagator.invertibility"
+    assert float(report_value(report, "det_z_min")) == 1.0
+    text = report.read_text()
+    assert "factor not finite from u = 0.8876953125" in text and "hits -1" not in text
+
+
 def test_missing_solve_block_is_a_config_error(tmp_path, capsys):
     config = {k: v for k, v in CONFIG.items() if k != "solve"}
     assert run_cli(tmp_path, config) == 1

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from depca import depca_engine
 from depca import diagnostics as diag
+from depca import matrix_core
 from depca import signals as sig
 from depca.depca_engine import (
     DepcaSystem,
@@ -228,6 +229,14 @@ class TestPanelQuadrature:
         monkeypatch.setattr(depca_engine, "expm", counting)
         interval_forcing(system, 7, 1.0, 1e-11)
         assert 5 * len(calls) <= per_node_calls
+
+    @pytest.mark.parametrize("m", [PANEL_A, np.array([[-1.0 + 0j, 2.0], [0.0, -0.5]]),
+                                   np.array([[0.3 + 1j]])], ids=["real", "complex", "rotation"])
+    def test_node_stack_is_the_per_node_exponentials(self, m):
+        # one stacked exponential, bit-equal to the exponentials node by node
+        want = np.stack([w * matrix_core.expm(m, 0.37 * u)
+                         for u, w in zip(depca_engine._GL_UNIT, depca_engine.GL_WEIGHTS)])
+        assert np.array_equal(depca_engine.Kernel(m).stack(0.37), want)
 
 
 class TestOneKernelIntegral:
@@ -626,6 +635,32 @@ class TestOneEvaluationPath:
         np.testing.assert_allclose(interval_forcing(system, ns, u, 1e-12)[:, 0],
                                    exact, atol=1e-10)
 
+    def test_a_cold_dense_grid_forms_its_exponentials_in_one_call(self, monkeypatch):
+        # 20 001 points on [-10, 10] repeat about 1,000 fractional parts u;
+        # every fresh u takes its exponential from one stacked call
+        traj = solve_bounded_depca(trig_p3_system(), -10, 10, 1e-9)
+        sizes = []
+        expm_integral = depca_engine.expm_integral
+
+        def counting(a, u):
+            sizes.append(np.size(u))
+            return expm_integral(a, u)
+
+        monkeypatch.setattr(depca_engine, "expm_integral", counting)
+        traj.evaluate_grid(np.linspace(-10, 10, 20001))
+        assert len(sizes) <= 1 and sizes[0] > 900
+
+    def test_evaluate_is_the_same_after_a_dense_grid(self):
+        # Z(u) and K_w(u) formed in a stack of 1,000 u carry the bits they
+        # have when formed for one u alone
+        ts = [-9.87654321, -2.5, 0.001, 3.3, 9.999]
+        alone = solve_bounded_depca(trig_p3_system(), -10, 10, 1e-9)
+        want = [alone.evaluate(t) for t in ts]
+        traj = solve_bounded_depca(trig_p3_system(), -10, 10, 1e-9)
+        # the points come first, so each of their u represents its key
+        traj.evaluate_grid(np.concatenate([ts, np.linspace(-10, 10, 20001)]))
+        assert all(np.array_equal(traj.evaluate(t), x) for t, x in zip(ts, want))
+
     def test_residual_check_calls_the_forcing_once_per_u(self, monkeypatch):
         # 7 probes and their two stencil points per interval share 21 u
         traj = solve_bounded_depca(trig_p3_system(), -200, 200, 1e-9)
@@ -651,8 +686,10 @@ class TestOneEvaluationPath:
 
         monkeypatch.setattr(depca_engine, "interval_forcing", counting)
         solve_bounded_depca(scalar_system(-1.0, 0.5, COS_2PI), -10, 10, 1e-9)
-        ns = np.concatenate([n for _, n, u, _ in calls if u == 1.0])
-        assert len([u for _, _, u, _ in calls if u == 1.0]) <= 6
+        # a dense grid passes one u per row, and never u = 1
+        h_calls = [n for _, n, u, _ in calls if np.ndim(u) == 0 and u == 1.0]
+        ns = np.concatenate(h_calls)
+        assert len(h_calls) <= 6
         assert ns.size == np.unique(ns).size == 127
 
 

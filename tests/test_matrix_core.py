@@ -14,6 +14,7 @@ from depca.errors import (
     UserTInvalidError,
 )
 from depca.matrix_core import (
+    _expm,
     _phi1,
     check_eigenvalue_condition,
     eigenvalues,
@@ -23,6 +24,38 @@ from depca.matrix_core import (
     simultaneous_triangularize,
     spectral_split,
 )
+
+
+class TestStackedExpm:
+    """A (N, q, q) stack through ``_expm`` gives every slice the bits of the
+    kernel on that slice alone, with its own squaring count."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 16), st.floats(0.01, 60.0), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_stack_is_bit_equal_per_slice(self, p, scale, complex_a, seed):
+        rng = np.random.default_rng(seed)
+        a = scale * rng.standard_normal((p, p))
+        if complex_a:
+            a = a + 1j * scale * rng.standard_normal((p, p))
+        us = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 6)])
+        stack = _expm(a * us[:, None, None])
+        exps, ints = expm_integral(a, us)
+        assert stack.shape == exps.shape == ints.shape == (8, p, p)
+        # u = 0 is exactly I and 0
+        assert np.array_equal(stack[0], np.eye(p)) and np.array_equal(exps[0], np.eye(p))
+        assert not ints[0].any()
+        for k, u in enumerate(us.tolist()):
+            assert np.array_equal(stack[k], _expm(a * u))
+            e, w = expm_integral(a, u)
+            assert np.array_equal(exps[k], e) and np.array_equal(ints[k], w)
+
+    def test_one_overflowing_slice_fails_the_stack(self):
+        a = np.array([[800.0]])
+        with pytest.raises(ExpmOverflowError, match="overflows at .* = 800"):
+            _expm(a * np.array([0.0, 0.5, 1.0])[:, None, None])
+        with pytest.raises(ExpmOverflowError, match="squarings"):
+            _expm(a * np.array([0.5, 1e12])[:, None, None])
 
 
 class TestExpm:

@@ -80,12 +80,31 @@ class TestBuildCascade:
         with pytest.raises(EigenConditionFailError) as err:
             solve_by_reduction(system, None, -2, 2)
         assert abs(err.value.u_star - u_star) <= 1e-12
+        assert not err.value.overflow and "hits -1" in str(err.value)
         screen = check_propagator_invertibility(system)
         assert not screen.passed
         [(i, u)] = screen.analytic_failures
-        assert i == 0 and abs(u - u_star) <= 1e-12
+        assert i == 0 and abs(u - u_star) <= 1e-12 and screen.overflows == ()
+        # the grid minimum is taken among the finite factors
+        assert screen.min_det == pytest.approx(0.933, abs=1e-3) and screen.argmin_u == 0.005
         with pytest.raises(ZInvertibilityError):
             solve_bounded_depca(system, -2, 2, 1e-9)
+
+    def test_an_overflowing_factor_is_refused_as_not_finite(self):
+        # 1 + u phi1(800 u) / 2 > 1 never vanishes, but is not finite past
+        # u = 0.887, where it can no longer be checked
+        system = DepcaSystem.build(np.array([[-800.0]]), np.array([[0.5]]),
+                                   sig.TrigPolynomial.cosine([1.0], 1.0))
+        with pytest.raises(EigenConditionFailError) as err:
+            solve_by_reduction(system, None, -2, 2)
+        assert err.value.overflow and err.value.u_star == 0.8876953125
+        assert "not finite from u = 0.8876953125" in str(err.value)
+        assert "hits -1" not in str(err.value)
+        screen = check_propagator_invertibility(system)
+        assert not screen.passed and screen.overflows == (0,)
+        assert screen.analytic_failures == ((0, 0.8876953125),)
+        assert screen.min_det == 1.0
+        assert "factor not finite from u = 0.8876953125" in str(screen)
 
     def test_eigen_condition_failure_surfaces(self):
         system = DepcaSystem.build(np.array([[0.0]]), np.array([[-1.0]]),
